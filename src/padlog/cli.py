@@ -14,7 +14,7 @@ Exit codes
 ----------
 0    success; for ``dlog`` the equation is solvable
 2    ``dlog``: provably unsolvable (the failing level is reported)
-3    ``dlog``: existence cannot be decided at the working precision
+3    ``dlog``: existence undetermined, only for truncated input
 64   usage error (unparseable or missing flags)
 65   domain error; stderr carries a machine-readable reason code
 
@@ -219,6 +219,8 @@ def _dlog_units(args):
 
 
 def cmd_dlog(args):
+    if args.N < 1:
+        raise ValueError("precision must be >= 1")
     if args.a == 1:
         raise AIsOne("powers of 1 cannot reach anything but 1")
     method = args.method

@@ -4,7 +4,7 @@ A value is a base (usually prime), a precision N, and the N least-significant
 base-p digits d_0..d_{N-1}, meaning the residue sum(d_i p^i) mod p^N together
 with the claim "all further digits are unknown".  Arithmetic carries digits
 exactly; precision of a binary operation is the shorter operand's.  Composite
-bases are tolerated for plain ring arithmetic (from_integer/add/mul/neg) and
+bases are tolerated for plain ring arithmetic (from_integer, +, *, -) and
 rejected everywhere unit or valuation theory is involved, because Z/(n-adic)
 is not a domain for composite n.
 
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import sympy
-
 from .errors import (
     BaseMismatch,
     IndeterminateValuation,
@@ -27,6 +25,7 @@ from .errors import (
     NotPrime,
     ZeroInput,
 )
+from .residue import _factorization, _is_prime, _vp
 
 
 def _digits_simple(value, base, precision):
@@ -119,7 +118,7 @@ class PAdicInt:
                 raise ValueError("digit %d out of range for base %d" % (d, base))
         self.base = base
         self.digits = digits
-        self.is_prime_base = bool(sympy.isprime(base))
+        self.is_prime_base = _is_prime(base)
         # exact integer value when this expansion came from a known integer;
         # lets us answer "is this literally 0/1" despite truncation
         self._int_value = _int_value
@@ -336,34 +335,6 @@ def from_integer(z, base, precision):
     return PAdicInt.from_integer(z, base, precision)
 
 
-def add(x, y):
-    return x + y
-
-
-def mul(x, y):
-    return x * y
-
-
-def neg(x):
-    return -x
-
-
-def invert_unit(x):
-    return x.invert_unit()
-
-
-def valuation(x):
-    return x.valuation()
-
-
-def unit_factor(x):
-    return x.unit_factor()
-
-
-def reduce_mod(x, level):
-    return x.reduce_mod(level)
-
-
 def composite_valuation(z, n):
     """max of v_q(z) over primes q dividing n.
 
@@ -376,15 +347,7 @@ def composite_valuation(z, n):
         raise ZeroInput("v_n(0) is undefined here")
     if n < 2:
         raise ValueError("n must be >= 2")
-    best = 0
-    for q in sympy.factorint(n):
-        v = 0
-        zz = abs(z)
-        while zz % q == 0:
-            zz //= q
-            v += 1
-        best = max(best, v)
-    return best
+    return max(_vp(z, q) for q, _ in _factorization(n))
 
 
 def parse_padic(text):

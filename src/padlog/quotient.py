@@ -24,6 +24,7 @@ from .primroot import stabilize
 from .residue import (
     AbelianStructure,
     _require_prime,
+    _vp,
     order_mod,
     structure_from_power_counts,
 )
@@ -105,11 +106,7 @@ def power_map_report(p, k):
         raise DomainError("the power-map exponent must be a positive integer")
     d2 = math.gcd(p - 1, k)
     d1 = (p - 1) // d2
-    m = 0
-    reduced = k
-    while reduced % p == 0:
-        m += 1
-        reduced //= p
+    m = _vp(k, p)
     if p == 2:
         if k % 2 == 0:
             image = SymbolicAbelian(z_scale=k, unit_scale=m, finite=_finite())
@@ -150,11 +147,7 @@ def predicted_finite_cokernel(p, n, k):
     _require_prime(p)
     if n < 1 or k < 1:
         raise DomainError("level and exponent must be positive integers")
-    m = 0
-    reduced = k
-    while reduced % p == 0:
-        m += 1
-        reduced //= p
+    m = _vp(k, p)
     if p == 2:
         if n == 1:
             return _finite()

@@ -34,10 +34,24 @@ def _cap(default):
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
+def _is_prime(p):
+    """The package's one prime test, memoized."""
+    return bool(sympy.isprime(p))
+
+
 def _require_prime(p):
-    """The one prime guard of the package; a passing p is memoized."""
-    if not sympy.isprime(p):
+    """The one prime guard of the package."""
+    if not _is_prime(p):
         raise NotPrime("%d is not prime" % p)
+
+
+def _vp(z, p):
+    """v_p(z) for a nonzero integer z."""
+    v = 0
+    while z % p == 0:
+        z //= p
+        v += 1
+    return v
 
 
 @functools.lru_cache(maxsize=4096)

@@ -1,22 +1,31 @@
 """Deciding and computing x with a^x = b among p-adic integers.
 
-Three cooperating methods:
+Every unit u is a root of unity times a principal unit u2, and its depth is
+v_p(u2 - 1).  One decision procedure, ``_split``, reads a^x = b from that
+split: the equation is solvable exactly when
 
-* ``solve_by_lifting`` climbs the levels mod p, mod p^2, ... refining the
-  smallest exponent at each stage; successive stages pin down successive
-  base-p digits of the limiting exponent.
-* ``solve_log_ratio`` divides logarithms: on principal units the answer is
-  exactly log(b)/log(a), computed with enough guard digits to absorb the
-  division.
-* ``solve_units`` splits both sides into root-of-unity and principal parts
-  and stitches the two answers together (a congruence on a finite torsion
-  modulus plus a p-power congruence), including the parity coupling that
-  makes base 2 special.
+* b's residue lies in the subgroup generated by a mod p (at p = 2: a = 1
+  mod 4 never reaches b = 3 mod 4),
+* depth(a) <= depth(b), and
+* at p = 2 with a = 3 mod 4, the parity of x matches the sign of b (x odd
+  exactly when b = 3 mod 4).  The parity is not free: x2 = log b2 / log a2
+  has v_2(x2) = depth(b) - depth(a), because v(log u) = v(u - 1) on
+  principal units (Koblitz, GTM 58, ch. IV), so x is odd exactly when the
+  depths are equal.
 
-``check_existence`` is the desk test: it predicts solvability from residues
-and depths alone, without producing the exponent, and says "undetermined"
-whenever truncation (or a genuinely undecided configuration) leaves the
-answer open.
+An int is exact, so an integer pair is always decided, at any precision;
+only a truncated ``PAdicInt`` whose digits hide a needed depth comes back
+"undetermined".  The routes:
+
+* ``check_existence`` returns the split's verdict, without the exponent.
+* ``solve_units`` raises or returns "undetermined" from the split, and
+  otherwise glues the torsion residue of x to the principal exponent
+  log(b2) / log(a2).
+* ``solve_log_ratio`` divides logarithms of principal units, with as many
+  guard digits as depth(a).
+* ``solution_is_unit`` compares the split's depths.
+* ``solve_by_lifting`` climbs the levels mod p, mod p^2, ... without the
+  split; it is the ground truth the other routes are tested against.
 """
 
 from __future__ import annotations
@@ -31,42 +40,31 @@ from .errors import (
     UnsolvableError,
     ZeroInput,
 )
-from .padic import PAdicInt, _digits_simple
-from .residue import _require_prime, order_mod
-from .teichmuller import decompose_unit, depth
+from .padic import PAdicInt, ValuationBound, _digits_simple
+from .residue import _require_prime, _vp, order_mod
 from .translog import padic_log
 
 
 def _classify_nonunit(a, b, p):
     """Refuse non-unit inputs with an explanation of what powers could do.
 
-    If p^e divides a exactly, every power a^x has valuation ex, so b must
-    carry a positive multiple of e factors of p for the equation to have
-    any chance; either way this solver only handles units.
+    a and b are nonzero integers, at least one divisible by p.  If p^e
+    divides a exactly, every power a^x has valuation ex, so b must carry a
+    positive multiple of e factors of p for the equation to have any
+    chance; either way this solver only handles units.
     """
-    va = 0
-    aa = a
-    while aa != 0 and aa % p == 0:
-        aa //= p
-        va += 1
-    vb = 0
-    bb = b
-    while bb != 0 and bb % p == 0:
-        bb //= p
-        vb += 1
-    if va and not vb:
+    va, vb = _vp(a, p), _vp(b, p)
+    if not vb:
         reason = "v(a) = %d > 0 forces v(b) to be a positive multiple of it" % va
-    elif vb and not va:
+    elif not va:
         reason = "v(a) = 0 forces v(b) = 0, but v(b) = %d" % vb
-    elif va and vb and vb % va != 0:
+    elif vb % va:
         reason = "v(b) = %d is not a multiple of v(a) = %d" % (vb, va)
-    elif va and vb:
+    else:
         reason = (
             "v(a) = %d, v(b) = %d: only the single exponent %d remains possible"
             % (va, vb, vb // va)
         )
-    else:
-        return
     raise NotAUnit("both sides must be units; " + reason)
 
 
@@ -201,76 +199,7 @@ def convergence_certificate(trace):
 
 
 # ---------------------------------------------------------------------------
-# log ratio
-
-
-@dataclass(frozen=True)
-class LogRatioResult:
-    x: PAdicInt
-    depth_a: int
-    precision_loss: int  # digits sacrificed to the division, equals depth_a
-
-
-def solve_log_ratio(a, b, p, precision):
-    """x = log(b) / log(a) for principal units a and b, as a p-adic integer.
-
-    Dividing by log(a) = p^c * unit costs c digits, so the logs are taken
-    with c guard digits and the result genuinely carries ``precision``
-    digits.  Integer inputs are exact and re-materialize at the wider
-    precision automatically; truncated inputs must already carry enough
-    digits.  Raises UnsolvableError when v(log b) < v(log a), since then
-    the ratio leaves the p-adic integers.
-    """
-    _require_prime(p)
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    if isinstance(a, int):
-        a = PAdicInt.from_integer(a, p, precision)
-    if isinstance(b, int):
-        b = PAdicInt.from_integer(b, p, precision)
-    la = padic_log(a, precision)
-    bound = la.valuation()
-    if bound.is_infinite:
-        raise AIsOne("a is exactly 1: its only power is 1")
-    if not bound.is_exact:
-        raise InsufficientPrecision(
-            "a is 1 to working precision; its depth is invisible"
-        )
-    c = bound.amount
-    wide = precision + c
-    a_wide = a.with_precision(wide) if a.precision < wide else a
-    b_wide = b.with_precision(wide) if b.precision < wide else b
-    la = padic_log(a_wide, wide)
-    lb = padic_log(b_wide, wide)
-    vb = lb.valuation()
-    if vb.is_infinite:
-        # b is exactly 1: the exponent is exactly 0
-        return LogRatioResult(
-            x=PAdicInt.from_integer(0, p, precision), depth_a=c, precision_loss=c
-        )
-    if vb.is_exact and vb.amount < c:
-        raise UnsolvableError(
-            "v(log b) = %d < v(log a) = %d: the exponent is not integral"
-            % (vb.amount, c),
-            failing_level=vb.amount + 1,
-        )
-    if not vb.is_exact:
-        # log b is zero to working precision: so is x, to the digits we owe
-        return LogRatioResult(
-            x=PAdicInt(p, (0,) * precision), depth_a=c, precision_loss=c
-        )
-    e_a, u_a = la.unit_factor()
-    e_b, u_b = lb.unit_factor()
-    q = u_b * u_a.invert_unit()
-    shift = e_b - e_a
-    digits = (0,) * shift + q.digits
-    return LogRatioResult(
-        x=PAdicInt(p, digits[:precision]), depth_a=c, precision_loss=c
-    )
-
-
-# ---------------------------------------------------------------------------
-# existence
+# existence: the one decision procedure
 
 
 @dataclass(frozen=True)
@@ -282,49 +211,6 @@ class ExistenceVerdict:
     @property
     def exit_style(self):
         return {"solvable": 0, "unsolvable": 2, "undetermined": 3}[self.verdict]
-
-
-def _depth_of(u):
-    """(kind, amount) of v_p(u - 1) for a principal-part unit."""
-    d = depth(u, strict=False)
-    return d.valuation
-
-
-def check_existence(a, b, p, precision=12):
-    """Predict solvability of a^x = b from residues and depths alone.
-
-    Odd p: solvable exactly when b's residue lies in the subgroup generated
-    by a's residue mod p and the principal depths satisfy
-    depth(a) <= depth(b).  Base 2 additionally couples the signs mod 4 with
-    the parity of the exponent; one sign configuration cannot be decided by
-    depths alone and is reported undetermined.  Truncated inputs whose
-    depths are invisible also come back undetermined.
-    """
-    _require_prime(p)
-    if a == 0 or b == 0:
-        raise ZeroInput("0 is not a unit")
-    if isinstance(a, int):
-        a = PAdicInt.from_integer(a, p, precision)
-    if isinstance(b, int):
-        b = PAdicInt.from_integer(b, p, precision)
-    if a.digits[0] == 0 or b.digits[0] == 0:
-        _classify_nonunit(a.to_int(), b.to_int(), p)
-    omega_a, a2 = decompose_unit(a)
-    omega_b, b2 = decompose_unit(b)
-    da = _depth_of(a2)
-    db = _depth_of(b2)
-    if p == 2:
-        return _check_existence_base2(omega_a, omega_b, da, db)
-    a0 = a.digits[0]
-    b0 = b.digits[0]
-    if pow(b0, order_mod(a0, p), p) != 1:
-        return ExistenceVerdict(
-            verdict="unsolvable",
-            reason="the residue of b lies outside the subgroup generated by a mod %d"
-            % p,
-            failing_level=1,
-        )
-    return _depth_comparison_verdict(da, db)
 
 
 def _depth_comparison_verdict(da, db):
@@ -382,53 +268,197 @@ def _depth_comparison_verdict(da, db):
     )
 
 
-def _check_existence_base2(omega_a, omega_b, da, db):
-    sign_a = -1 if omega_a.digits[1] == 1 else 1
-    sign_b = -1 if omega_b.digits[1] == 1 else 1
-    if sign_a == 1 and sign_b == -1:
-        return ExistenceVerdict(
-            verdict="unsolvable",
-            reason="a = 1 mod 4 but b = 3 mod 4: no power flips the sign",
-            failing_level=2,
-        )
-    if sign_a == 1:
-        return _depth_comparison_verdict(da, db)
-    # sign_a = -1: the exponent's parity is coupled to the sign of b
-    if not (da.is_exact or da.is_infinite) or not (db.is_exact or db.is_infinite):
-        return ExistenceVerdict(
-            verdict="undetermined",
-            reason="a depth needed for the sign coupling is hidden by truncation",
-        )
-    plain = _depth_comparison_verdict(da, db)
-    if plain.verdict == "unsolvable":
-        return plain
-    if sign_b == -1:
-        if da == db:
-            return ExistenceVerdict(
-                verdict="solvable",
-                reason="equal depths force a unit exponent, whose odd parity "
-                "matches the sign of b",
+def _value(u):
+    """An int itself; a PAdicInt's representative mod p^N."""
+    return u if isinstance(u, int) else u.to_int()
+
+
+def _depth(u, p, precision):
+    """depth(u) = v_p(u2 - 1) for u = (root of unity) * u2, no lift needed.
+
+    At odd p, u^(p-1) = u2^(p-1) kills the root of unity, and p - 1 is a
+    unit, so v_p(u^(p-1) - 1) is the depth.  At p = 2 it is v_2(+-u - 1),
+    the sign taken so that +-u = 1 mod 4.  An int is exact: its depth is
+    exact whatever ``precision``, and infinite only for +-1.  A PAdicInt is
+    read mod p^N: infinite only for a known +-1, and at least N when its N
+    digits do not show the depth.
+    """
+    exact = isinstance(u, int)
+    if exact:
+        z, known, k = u, u, precision
+    else:
+        if p == 2 and u.precision < 2:
+            raise InsufficientPrecision(
+                "the sign of a 2-adic unit lives in its second digit"
             )
-        return ExistenceVerdict(
-            verdict="undetermined",
-            reason="sign of b demands an odd exponent while the depth gap "
-            "controls its parity; depths alone cannot certify this",
+        z, known, k = u.to_int(), u._int_value, u.precision
+    if known in (1, -1):
+        return ValuationBound.infinite()
+    while True:
+        m = p**k
+        if p == 2:
+            w = ((z if z % 4 == 1 else -z) - 1) % m
+        else:
+            w = (pow(z, p - 1, m) - 1) % m
+        if w:
+            return ValuationBound.exact(_vp(w, p))
+        if not exact:
+            return ValuationBound.at_least(k)
+        k *= 2
+
+
+def _exponent_is_unit(da, db):
+    """Is x with a2^x = b2 a p-adic unit?  v_p(x) = depth(b) - depth(a).
+
+    True for pure torsion (da infinite), where a unit residue will do;
+    None when truncation hides the answer.
+    """
+    if da.is_infinite:
+        return True
+    if not da.is_exact or db == ValuationBound.at_least(da.amount):
+        return None
+    return db == da
+
+
+def _split(a, b, p, precision):
+    """The decision procedure for a^x = b, read by every route but lifting.
+
+    Returns (verdict, m, depth(a), depth(b)): the ExistenceVerdict, the
+    torsion modulus m (the order of a's root of unity, which is what the
+    torsion congruence on x is taken mod), and the principal depths as
+    ValuationBounds.
+    """
+    _require_prime(p)
+    if a == 0 or b == 0:
+        raise ZeroInput("0 is not a unit")
+    za, zb = _value(a), _value(b)
+    if za % p == 0 or zb % p == 0:
+        _classify_nonunit(za, zb, p)
+    da, db = _depth(a, p, precision), _depth(b, p, precision)
+    if p == 2:
+        m = 2 if za % 4 == 3 else 1
+        if m == 1 and zb % 4 == 3:
+            verdict = ExistenceVerdict(
+                verdict="unsolvable",
+                reason="a = 1 mod 4 but b = 3 mod 4: no power flips the sign",
+                failing_level=2,
+            )
+            return verdict, m, da, db
+    else:
+        m = order_mod(za % p, p)
+        if pow(zb, m, p) != 1:
+            verdict = ExistenceVerdict(
+                verdict="unsolvable",
+                reason="the residue of b lies outside the subgroup generated "
+                "by a mod %d" % p,
+                failing_level=1,
+            )
+            return verdict, m, da, db
+    verdict = _depth_comparison_verdict(da, db)
+    if m == 2 and p == 2 and verdict.verdict == "solvable" and not da.is_infinite:
+        # a = 3 mod 4: b's sign fixes the parity of x, and so do the depths
+        odd = _exponent_is_unit(da, db)
+        if odd is None:
+            verdict = ExistenceVerdict(
+                verdict="undetermined",
+                reason="the parity of x depends on a depth hidden by truncation",
+            )
+        elif odd != (zb % 4 == 3):
+            verdict = ExistenceVerdict(
+                verdict="unsolvable",
+                reason="the sign of b demands an %s exponent but the depths "
+                "force an %s one" % (("even", "odd") if odd else ("odd", "even")),
+                failing_level=da.amount + 1,
+            )
+    return verdict, m, da, db
+
+
+def check_existence(a, b, p, precision=12):
+    """Predict solvability of a^x = b from residues and depths alone.
+
+    Solvable exactly when b's residue lies in the subgroup generated by a's
+    residue mod p (at p = 2: a = 1 mod 4 never reaches b = 3 mod 4),
+    depth(a) <= depth(b), and, at p = 2 with a = 3 mod 4, the parity of x
+    matches the sign of b: x must be odd exactly when b = 3 mod 4, and it
+    is odd exactly when depth(a) = depth(b).  An unsolvable verdict carries
+    the first level mod p^n with no solution.  Integer pairs are always
+    decided, at any ``precision``; only a truncated PAdicInt whose digits
+    hide a needed depth comes back "undetermined".
+    """
+    return _split(a, b, p, precision)[0]
+
+
+# ---------------------------------------------------------------------------
+# log ratio
+
+
+@dataclass(frozen=True)
+class LogRatioResult:
+    x: PAdicInt
+    depth_a: int
+    precision_loss: int  # digits sacrificed to the division, equals depth_a
+
+
+def _at(u, p, digits):
+    """u as a PAdicInt of at least ``digits`` digits.
+
+    Ints are exact and take any precision; a truncated PAdicInt must
+    already carry the digits.
+    """
+    if isinstance(u, int):
+        return PAdicInt.from_integer(u, p, digits)
+    return u if u.precision >= digits else u.with_precision(digits)
+
+
+def solve_log_ratio(a, b, p, precision):
+    """x = log(b) / log(a) for principal units a and b, as a p-adic integer.
+
+    Dividing by log(a) = p^c * unit costs c = depth(a) digits, so the logs
+    are taken with c guard digits and the result genuinely carries
+    ``precision`` digits.  Integer inputs are exact and materialize at the
+    wider precision; truncated inputs must already carry enough digits.
+    Raises UnsolvableError when v(log b) < v(log a), since then the ratio
+    leaves the p-adic integers.
+    """
+    _require_prime(p)
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    da = _depth(a, p, precision)
+    c = da.amount if da.is_exact else 0
+    wide = precision + c
+    a = _at(a, p, wide)
+    la = padic_log(a, wide)  # refuses a outside the log's domain
+    if da.is_infinite:
+        raise AIsOne("a is exactly 1: its only power is 1")
+    if not da.is_exact:
+        raise InsufficientPrecision(
+            "a is 1 to working precision; its depth is invisible"
         )
-    # sign_b = +1 with sign_a = -1: need an even exponent
-    if db.is_infinite:
-        return ExistenceVerdict(
-            verdict="solvable",
-            reason="b is exactly 1, reached by the even exponent 0",
+    lb = padic_log(_at(b, p, wide), wide)
+    vb = lb.valuation()
+    if vb.is_infinite:
+        # b is exactly 1: the exponent is exactly 0
+        return LogRatioResult(
+            x=PAdicInt.from_integer(0, p, precision), depth_a=c, precision_loss=c
         )
-    if da.is_infinite or (db.is_exact and da.is_exact and da.amount < db.amount):
-        return ExistenceVerdict(
-            verdict="solvable",
-            reason="a strict depth gap forces an even exponent, matching the "
-            "positive sign of b",
+    if vb.is_exact and vb.amount < c:
+        raise UnsolvableError(
+            "v(log b) = %d < v(log a) = %d: the exponent is not integral"
+            % (vb.amount, c),
+            failing_level=vb.amount + 1,
         )
-    return ExistenceVerdict(
-        verdict="undetermined",
-        reason="an even exponent is required but the depths do not force one",
+    if not vb.is_exact:
+        # log b is zero to working precision: so is x, to the digits we owe
+        return LogRatioResult(
+            x=PAdicInt(p, (0,) * precision), depth_a=c, precision_loss=c
+        )
+    e_a, u_a = la.unit_factor()
+    e_b, u_b = lb.unit_factor()
+    q = u_b * u_a.invert_unit()
+    shift = e_b - e_a
+    digits = (0,) * shift + q.digits
+    return LogRatioResult(
+        x=PAdicInt(p, digits[:precision]), depth_a=c, precision_loss=c
     )
 
 
@@ -458,148 +488,81 @@ class UnitsSolution:
     reason: str = ""
 
 
-def solve_units(a, b, p, precision=12):
-    """Solve a^x = b for integer (hence exact) units a and b.
-
-    Splits both sides into torsion and principal parts, solves each, and
-    glues the congruences.  Raises UnsolvableError with the first failing
-    level when no exponent exists; returns verdict "undetermined" when
-    truncation genuinely hides the answer.
-    """
-    _require_prime(p)
-    if a == 0 or b == 0:
-        raise ZeroInput("0 is not a unit")
-    if (isinstance(a, int) and a == 1) or (
-        isinstance(a, PAdicInt) and a._int_value == 1
-    ):
-        raise AIsOne("powers of 1 cannot reach anything but 1")
-    if isinstance(a, int):
-        a = PAdicInt.from_integer(a, p, precision)
-    if isinstance(b, int):
-        b = PAdicInt.from_integer(b, p, precision)
-    if a.digits[0] == 0 or b.digits[0] == 0:
-        _classify_nonunit(a.to_int(), b.to_int(), p)
-    omega_a, a2 = decompose_unit(a)
-    omega_b, b2 = decompose_unit(b)
+def _principal(u, p, digits):
+    """A principal unit with the depth and the log of u's principal part:
+    +-u at p = 2, u^(p-1) at odd p, to at least ``digits`` digits."""
+    u = _at(u, p, digits)
     if p == 2:
-        m = 2 if omega_a._int_value == -1 else 1
-        if m == 1 and omega_b._int_value == -1:
-            raise UnsolvableError(
-                "a = 1 mod 4 but b = 3 mod 4", failing_level=2
-            )
-        t = None if m == 1 else (0 if omega_b._int_value == 1 else 1)
+        return u if u.digits[1] == 0 else -u
+    return u ** (p - 1)
+
+
+def solve_units(a, b, p, precision=12):
+    """Solve a^x = b for units a and b (ints are exact).
+
+    The split decides: an unsolvable pair raises UnsolvableError with the
+    first failing level, and truncation that hides a needed depth returns
+    verdict "undetermined".  Otherwise x is glued from its torsion residue
+    mod the torsion modulus and the principal exponent log(b2) / log(a2)
+    mod p^precision.
+    """
+    verdict, m, da, db = _split(a, b, p, precision)
+    if (a if isinstance(a, int) else a._int_value) == 1:
+        raise AIsOne("powers of 1 cannot reach anything but 1")
+    if verdict.verdict == "unsolvable":
+        raise UnsolvableError(verdict.reason, failing_level=verdict.failing_level)
+    za, zb = _value(a), _value(b)
+    if p == 2:
+        t = zb % 4 // 2  # the parity that b's sign demands
     else:
-        a0, b0 = a.digits[0], b.digits[0]
-        m = order_mod(a0, p)
-        t = None
-        cur = 1
-        for cand in range(m):
-            if cur == b0:
-                t = cand
-                break
-            cur = cur * a0 % p
-        if t is None:
-            raise UnsolvableError(
-                "the residue of b is not a power of the residue of a",
-                failing_level=1,
-            )
-    da = _depth_of(a2)
-    db = _depth_of(b2)
+        # the split checked that b's residue is a power of a's
+        t, cur = 0, 1
+        while cur != zb % p:
+            cur = cur * za % p
+            t += 1
+    common = dict(p=p, precision=precision, torsion_modulus=m, torsion_residue=t)
+    if verdict.verdict == "undetermined":
+        return UnitsSolution(
+            verdict="undetermined",
+            principal_exponent=None,
+            depth_a=None,
+            x=None,
+            reason=verdict.reason,
+            **common,
+        )
     if da.is_infinite:
         # pure torsion: a is exactly a root of unity (a = -1 in practice)
-        if db.is_infinite:
-            x = _combine(t, m, None, None, p)
-            return UnitsSolution(
-                p=p,
-                precision=precision,
-                verdict="solvable",
-                torsion_modulus=m,
-                torsion_residue=t if m > 1 else 0,
-                principal_exponent=None,
-                depth_a=None,
-                x=x,
-                reason="both principal parts are trivial",
-            )
-        if db.is_exact:
-            raise UnsolvableError(
-                "a is pure torsion but b has a nontrivial principal part",
-                failing_level=db.amount + 1,
-            )
         return UnitsSolution(
-            p=p,
-            precision=precision,
-            verdict="undetermined",
-            torsion_modulus=m,
-            torsion_residue=t if m > 1 else 0,
+            verdict="solvable",
             principal_exponent=None,
             depth_a=None,
-            x=None,
-            reason="b's principal part vanishes to working precision only",
+            x=t,
+            reason="both principal parts are trivial",
+            **common,
         )
-    if not da.is_exact:
-        return UnitsSolution(
-            p=p,
-            precision=precision,
-            verdict="undetermined",
-            torsion_modulus=m,
-            torsion_residue=t if m > 1 else 0,
-            principal_exponent=None,
-            depth_a=None,
-            x=None,
-            reason="depth(a) is hidden beyond working precision",
-        )
-    c = da.amount
-    wide = precision + c
-    if a.precision < wide:
-        # exact inputs re-materialize; truncated ones must already be wide
-        a2 = decompose_unit(a.with_precision(wide))[1]
-        b2 = decompose_unit(b.with_precision(wide))[1]
-    ratio = solve_log_ratio(a2, b2, p, precision)
-    x1 = ratio.x
-    if p == 2 and m == 2:
-        parity = x1.digits[0]
-        if db.is_exact and parity != t:
-            raise UnsolvableError(
-                "the sign of b demands exponent parity %d but the principal "
-                "parts force parity %d" % (t, parity),
-                failing_level=max(c + 1, 2),
-            )
-        if not db.is_exact and parity != t:
-            return UnitsSolution(
-                p=p,
-                precision=precision,
-                verdict="undetermined",
-                torsion_modulus=m,
-                torsion_residue=t,
-                principal_exponent=x1,
-                depth_a=c,
-                x=None,
-                reason="parity clash, but b's principal depth is truncated",
-            )
-    x = _combine(t, m, x1, precision, p)
+    if db.is_infinite:
+        x1 = PAdicInt.from_integer(0, p, precision)  # b's principal part is 1
+    else:
+        wide = precision + da.amount
+        x1 = solve_log_ratio(
+            _principal(a, p, wide), _principal(b, p, wide), p, precision
+        ).x
     return UnitsSolution(
-        p=p,
-        precision=precision,
         verdict="solvable",
-        torsion_modulus=m,
-        torsion_residue=t if m > 1 else 0,
         principal_exponent=x1,
-        depth_a=c,
-        x=x,
+        depth_a=da.amount if da.is_exact else None,
+        x=_combine(t, m, x1, p),
         reason="torsion and principal congruences combined",
+        **common,
     )
 
 
-def _combine(t, m, x1, precision, p):
+def _combine(t, m, x1, p):
     """Smallest nonnegative x with x = t mod m and x = x1 mod p^k."""
-    if x1 is None:
-        return t if t is not None else None
     k = x1.precision
     r = x1.to_int()
-    if t is None or m == 1:
-        return r
-    if p == 2:
-        # the principal congruence already carries the parity
+    if m == 1 or p == 2:
+        # at p = 2 the principal congruence already carries the parity
         return r
     # CRT: x = t + m * s with s = (r - t) / m mod p^k; m divides p - 1, so
     # it is invertible mod any power of p
@@ -611,26 +574,15 @@ def solution_is_unit(a, b, p, precision=12):
     """Is the exponent solving a^x = b itself a p-adic unit?
 
     The exponent's valuation is depth(b) - depth(a) on principal parts, so
-    the answer is the depth equality test.  Raises when the depths are
-    hidden by truncation or the equation is not solvable to begin with.
+    the answer compares the split's depths.  Raises when the equation is
+    not solvable to begin with, or when truncation hides a depth it needs.
     """
-    verdict = check_existence(a, b, p, precision)
+    verdict, _, da, db = _split(a, b, p, precision)
     if verdict.verdict == "undetermined":
         raise InsufficientPrecision(verdict.reason)
     if verdict.verdict == "unsolvable":
         raise UnsolvableError(verdict.reason, failing_level=verdict.failing_level)
-    if isinstance(a, int):
-        a = PAdicInt.from_integer(a, p, precision)
-    if isinstance(b, int):
-        b = PAdicInt.from_integer(b, p, precision)
-    _, a2 = decompose_unit(a)
-    _, b2 = decompose_unit(b)
-    da = _depth_of(a2)
-    db = _depth_of(b2)
-    if da.is_infinite and db.is_infinite:
-        # pure torsion on both sides: the exponent is any representative of
-        # a residue class; call it a unit exactly when a nonzero residue works
-        return True
-    if not (da.is_exact and db.is_exact):
+    unit = _exponent_is_unit(da, db)
+    if unit is None:
         raise InsufficientPrecision("a depth is hidden beyond working precision")
-    return da.amount == db.amount
+    return unit

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientPrecision, NotPrincipalUnit
 from .padic import PAdicInt, _digits_simple
+from .residue import _vp
 
 
 def factorial_valuation(n, p):
@@ -58,15 +59,12 @@ def padic_exp(x, precision=None):
         if x._int_value == 0:
             return PAdicInt.from_integer(1, p, K)
         return PAdicInt(p, (1,) + (0,) * (K - 1))
-    v = 0
-    while X % p == 0:
-        X //= p
-        v += 1
+    v = _vp(X, p)
     if v < min_v:
         raise DomainError(
             "exp needs v(x) >= %d at p = %d; got %d" % (min_v, p, v)
         )
-    U = X  # x = p^v * U with U a unit
+    U = X // p**v  # x = p^v * U with U a unit
     n_stop = math.ceil(K * (p - 1) / (v * (p - 1) - 1)) + 1
     guard = K + factorial_valuation(n_stop, p)
     modulus = p**guard
@@ -109,11 +107,8 @@ def padic_log(u, precision=None):
     if w == 0:
         # u - 1 is invisible at this precision, so log is too
         return PAdicInt(p, (0,) * K)
-    c = 0
-    while w % p == 0:
-        w //= p
-        c += 1
-    W = w  # u - 1 = p^c * W
+    c = _vp(w, p)
+    W = w // p**c  # u - 1 = p^c * W
     n_stop = 1
     while n_stop * c - _floor_log(n_stop, p) < K:
         n_stop += 1
@@ -123,11 +118,8 @@ def padic_log(u, precision=None):
     w_pow = 1  # W^n mod modulus, maintained incrementally
     for n in range(1, n_stop + 1):
         w_pow = w_pow * W % modulus
-        vp = 0
-        reduced = n
-        while reduced % p == 0:
-            reduced //= p
-            vp += 1
+        vp = _vp(n, p)
+        reduced = n // p**vp
         exponent = n * c - vp
         if exponent >= K:
             continue

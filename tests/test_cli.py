@@ -14,6 +14,7 @@ import pytest
 
 from padlog.cli import EX_DOMAIN, EX_OK, EX_UNSOLVABLE, EX_USAGE, TABLES, main
 from padlog.padic import PAdicInt, parse_padic
+from padlog.solver import check_existence
 from padlog.teichmuller import teichmuller_lift
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -154,6 +155,47 @@ def test_unsolvable_is_2_units(capsys):
     )
     assert code == EX_UNSOLVABLE
     assert "unsolvable" in out
+
+
+@pytest.mark.parametrize("method", ["lift", "log", "units", "auto"])
+def test_precision_below_one_is_64(method, capsys):
+    # 3^x = 5 over Z_2 is unsolvable at level 3; no route may answer it
+    # from a climb cut short by -N 0
+    for n in ("0", "-2"):
+        code, out, err = run_cli(
+            ["dlog", "-p", "2", "-a", "3", "-b", "5", "-N", n, "--method", method],
+            capsys,
+        )
+        assert code == EX_USAGE
+        assert out == ""
+        assert "usage" in err
+
+
+def test_exact_pair_decided_at_one_digit(capsys):
+    code, out, _ = run_cli(
+        ["dlog", "-p", "5", "-a", "6", "-b", "11", "-N", "1", "--method", "log"],
+        capsys,
+    )
+    assert code == EX_OK
+    assert out.splitlines()[0] == "x = 2@5^1"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dlog_exit_codes_follow_check_existence(p, capsys):
+    box = [c for c in range(-9, 10) if c % p]
+    for a in box:
+        if a == 1:
+            continue
+        for b in box:
+            want = check_existence(a, b, p)
+            for method in ("lift", "units"):
+                argv = ["dlog", "-p", str(p), "-a", str(a), "-b", str(b), "-N", "4",
+                        "--method", method, "--format", "json"]
+                code, out, _ = run_cli(argv, capsys)
+                assert code == want.exit_style, (a, b, p, method)
+                if code == EX_UNSOLVABLE:
+                    level = json_rows(out)[-1]["failing_level"]
+                    assert level == want.failing_level, (a, b, p, method)
 
 
 def test_domain_errors_are_65(capsys):

@@ -10,6 +10,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlog.errors import (
     AIsOne,
@@ -265,16 +267,18 @@ def test_existence_base2_sign_couplings():
     # -5 has sign -1; equal depths make the exponent odd: solvable
     assert check_existence(-5, -5, 2).verdict == "solvable"
     assert check_existence(-5, -13, 2).verdict == "solvable"
-    # strict depth gap with negative b: depths cannot certify; and in fact
-    # the parity clash makes this one genuinely unsolvable (solve_units says so)
+    # strict depth gap with negative b: the gap forces an even exponent, the
+    # sign of b an odd one, so the parity clash makes this unsolvable
     v = check_existence(-5, -25, 2)
-    assert v.verdict == "undetermined"
+    assert v.verdict == "unsolvable"
+    assert v.failing_level == 3
     # negative a to positive b with a strict gap: even exponent, fine
     assert check_existence(-5, 25, 2).verdict == "solvable"
     # negative a to positive b with equal depths: would need an odd exponent
     # on the principal side and an even one on the sign side
     v = check_existence(-5, 5, 2)
-    assert v.verdict == "undetermined"
+    assert v.verdict == "unsolvable"
+    assert v.failing_level == 3
 
 
 def test_existence_undetermined_by_truncation():
@@ -465,6 +469,7 @@ def test_solution_is_unit_by_depth():
     assert not solution_is_unit(6, 26, 5)
     assert solution_is_unit(9, 25, 2)
     assert not solution_is_unit(5, 25, 2)
+    assert not solution_is_unit(6, 1, 5)  # b is exactly 1: x = 0
 
 
 def test_solution_is_unit_consistency():
@@ -478,3 +483,71 @@ def test_solution_is_unit_consistency():
 def test_solution_is_unit_raises_on_unsolvable():
     with pytest.raises(UnsolvableError):
         solution_is_unit(26, 6, 5)
+
+
+# ---------------------------------------------------------------------------
+# one decision procedure: every route agrees with lifting
+
+
+def _units_verdict(a, b, p, precision=12):
+    try:
+        sol = solve_units(a, b, p, precision=precision)
+    except UnsolvableError as exc:
+        return "unsolvable", exc.failing_level
+    return sol.verdict, None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_routes_agree_with_lifting_on_the_unit_box(p):
+    # every failing level in the box lies below 16 levels at p = 2, 9 else
+    levels = 16 if p == 2 else 9
+    box = [c for c in range(-40, 41) if c % p]
+    for a in box:
+        if a == 1:
+            continue
+        for b in box:
+            trace = solve_by_lifting(a, b, p, levels)
+            truth = (trace.verdict, trace.failing_level)
+            v = check_existence(a, b, p)
+            assert (v.verdict, v.failing_level) == truth, (a, b, p, v)
+            assert _units_verdict(a, b, p) == truth, (a, b, p)
+
+
+def test_exact_integer_pairs_are_decided_at_any_precision():
+    assert check_existence(6, 11, 5, precision=1).verdict == "solvable"
+    assert check_existence(1 + 2**20, 1 + 2**21, 2).verdict == "solvable"
+    # 3 = 3 mod 4 and -3 = 1 mod 4 ask for an even exponent; equal depths
+    # force an odd one
+    v = check_existence(3, -3, 2)
+    assert v.verdict == "unsolvable"
+    assert v.failing_level == 3
+    assert solve_units(3, 1, 2, precision=1).x == 0
+    got = solve_log_ratio(6, 11, 5, 1)
+    assert got.x.precision == 1
+    assert got.x.to_int() == solve_log_ratio(6, 11, 5, 6).x.to_int() % 5
+
+
+_units = st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=_units,
+    b=_units,
+    p=st.sampled_from([2, 3, 5, 7]),
+    precision=st.integers(1, 14),
+)
+def test_only_truncated_inputs_are_undetermined(a, b, p, precision):
+    if a % p == 0 or b % p == 0 or a == 1:
+        return
+    v = check_existence(a, b, p, precision)
+    assert v.verdict != "undetermined"
+    assert _units_verdict(a, b, p, precision) == (v.verdict, v.failing_level)
+    # the same digits without the exact value: a decided verdict must hold
+    # for every integer with those digits, this one included
+    n = max(precision, 2)
+    ta = PAdicInt(p, from_integer(a, p, n).digits)
+    tb = PAdicInt(p, from_integer(b, p, n).digits)
+    t = check_existence(ta, tb, p)
+    if t.verdict != "undetermined":
+        assert (t.verdict, t.failing_level) == (v.verdict, v.failing_level)
