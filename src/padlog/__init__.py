@@ -1,8 +1,8 @@
 """padlog: exact truncated p-adic integers and p-adic solutions of a^x = b.
 
 The package is organized around one data type and one question.  The data
-type is :class:`PAdicInt`, a base-p integer truncated to finitely many
-digits with exact carry arithmetic.  The question is: for which p-adic
+type is :class:`PAdicInt`, a base-p integer truncated to N digits, held as
+its residue mod p^N.  The question is: for which p-adic
 integers x does a^x = b hold, and what are the digits of x?  The remaining
 modules supply the machinery -- unit-group structure, stable primitive
 roots, the multiplicative digit lift, exp/log on principal units, quotients

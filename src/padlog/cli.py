@@ -35,11 +35,11 @@ import sys
 import sympy
 
 from .errors import AIsOne, NotInRange, PadlogError, UnknownTable, UnsolvableError
-from .padic import PAdicInt
+from .padic import PAdicInt, _digits_simple
 from .primroot import all_stable_roots
 from .quotient import power_map_report
 from .residue import group_structure, order_mod
-from .solver import solve_by_lifting, solve_log_ratio, solve_units
+from .solver import check_existence, solve_by_lifting, solve_log_ratio, solve_units
 from .special import analyze_pair, cycle_decomposition
 from .teichmuller import teichmuller_lift
 
@@ -84,7 +84,7 @@ def _digit_list(value, base, count):
     """First ``count`` base-p digits of ``value`` (empty when count is 0)."""
     if count <= 0:
         return []
-    return list(PAdicInt.from_integer(value, base, count).digits)
+    return list(_digits_simple(value, base, count))
 
 
 def _csv(digits):
@@ -108,10 +108,16 @@ def _bracket(factors):
 def _climbing_trace(a, b, p, want_digits):
     """Lifting trace extended until ``want_digits`` digits are pinned.
 
-    Pure torsion bases (a = -1) never pin more digits, so they get a fixed
-    short climb; everything else grows one digit per level once the orders
-    start multiplying by p, so the loop terminates.
+    The verdict comes from the decision procedure: an unsolvable pair is
+    climbed exactly to its failing level, which may lie above any level
+    the digit count asks for.  Pure torsion bases (a = -1) never pin more
+    digits, so they get a fixed short climb; everything else grows one
+    digit per level once the orders start multiplying by p, so the loop
+    terminates.
     """
+    verdict = check_existence(a, b, p)
+    if verdict.verdict == "unsolvable":
+        return solve_by_lifting(a, b, p, verdict.failing_level)
     n_max = want_digits + 2
     if a == -1:
         return solve_by_lifting(a, b, p, n_max)

@@ -1,15 +1,16 @@
 """Exact truncated p-adic integers.
 
-A value is a base (usually prime), a precision N, and the N least-significant
-base-p digits d_0..d_{N-1}, meaning the residue sum(d_i p^i) mod p^N together
-with the claim "all further digits are unknown".  Arithmetic carries digits
-exactly; precision of a binary operation is the shorter operand's.  Composite
-bases are tolerated for plain ring arithmetic (from_integer, +, *, -) and
-rejected everywhere unit or valuation theory is involved, because Z/(n-adic)
-is not a domain for composite n.
+A value is a base (usually prime), a precision N, and a residue mod p^N,
+together with the claim "all further digits are unknown".  The N
+least-significant base-p digits d_0..d_{N-1} are derived from the residue
+on demand.  Arithmetic is integer arithmetic mod p^N; precision of a binary
+operation is the shorter operand's.  Composite bases are tolerated for
+plain ring arithmetic (from_integer, +, *, -) and rejected everywhere unit
+or valuation theory is involved, because Z/(n-adic) is not a domain for
+composite n.
 
 Equality is big-O equality: two values over the same base are equal when
-their digits agree up to the smaller precision.  That relation is not
+their residues agree modulo p^(smaller precision).  That relation is not
 transitive across precisions, so values are unhashable on purpose.
 """
 
@@ -103,9 +104,9 @@ class ValuationBound:
 
 
 class PAdicInt:
-    """A truncated base-p expansion, least-significant digit first."""
+    """A base-p integer truncated to N digits: a residue mod p^N."""
 
-    __slots__ = ("base", "digits", "is_prime_base", "_int_value")
+    __slots__ = ("base", "precision", "residue", "_int_value")
 
     def __init__(self, base, digits, _int_value=None):
         if not isinstance(base, int) or base < 2:
@@ -113,12 +114,14 @@ class PAdicInt:
         digits = tuple(int(d) for d in digits)
         if len(digits) < 1:
             raise ValueError("at least one digit is required")
-        for d in digits:
+        residue = 0
+        for d in reversed(digits):
             if not 0 <= d < base:
                 raise ValueError("digit %d out of range for base %d" % (d, base))
+            residue = residue * base + d
         self.base = base
-        self.digits = digits
-        self.is_prime_base = _is_prime(base)
+        self.precision = len(digits)
+        self.residue = residue
         # exact integer value when this expansion came from a known integer;
         # lets us answer "is this literally 0/1" despite truncation
         self._int_value = _int_value
@@ -126,12 +129,22 @@ class PAdicInt:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _of(cls, base, residue, precision, _int_value=None):
+        """The value residue mod base**precision, without the digit checks."""
+        x = object.__new__(cls)
+        x.base = base
+        x.precision = precision
+        x.residue = residue % base**precision
+        x._int_value = _int_value
+        return x
+
+    @classmethod
     def from_integer(cls, z, base, precision):
         if not isinstance(z, int):
             raise ValueError("expected an integer")
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        return cls(base, _digits_simple(z, base, precision), _int_value=z)
+        return cls._of(base, z, precision, _int_value=z)
 
     @classmethod
     def zero(cls, base, precision):
@@ -144,8 +157,13 @@ class PAdicInt:
     # -- basic views -------------------------------------------------------
 
     @property
-    def precision(self):
-        return len(self.digits)
+    def digits(self):
+        """The N base-p digits of the residue, least significant first."""
+        return _digits_simple(self.residue, self.base, self.precision)
+
+    @property
+    def is_prime_base(self):
+        return _is_prime(self.base)
 
     def reduce_mod(self, level):
         """The integer representative sum(d_i p^i) for i < level."""
@@ -153,21 +171,17 @@ class PAdicInt:
             raise InsufficientPrecision(
                 "level %d exceeds precision %d" % (level, self.precision)
             )
-        total, power = 0, 1
-        for d in self.digits[:level]:
-            total += d * power
-            power *= self.base
-        return total
+        return self.residue % self.base**level
 
     def to_int(self):
-        return self.reduce_mod(self.precision)
+        return self.residue
 
     def with_precision(self, precision):
         """Truncate to fewer digits, or re-expand when the exact integer is known."""
         if precision < 1:
             raise ValueError("precision must be >= 1")
         if precision <= self.precision:
-            return PAdicInt(self.base, self.digits[:precision], self._int_value)
+            return PAdicInt._of(self.base, self.residue, precision, self._int_value)
         if self._int_value is not None:
             return PAdicInt.from_integer(self._int_value, self.base, precision)
         raise InsufficientPrecision(
@@ -191,82 +205,53 @@ class PAdicInt:
 
     def __add__(self, other):
         self._check_same_base(other)
-        n = min(self.precision, other.precision)
-        out, carry = [], 0
-        for i in range(n):
-            t = self.digits[i] + other.digits[i] + carry
-            carry, d = divmod(t, self.base)
-            out.append(d)
         iv = None
         if self._int_value is not None and other._int_value is not None:
             iv = self._int_value + other._int_value
-        return PAdicInt(self.base, out, iv)
+        n = min(self.precision, other.precision)
+        return PAdicInt._of(self.base, self.residue + other.residue, n, iv)
 
     def __neg__(self):
-        # complement: 0 stays 0 until the first nonzero digit, then p - d - 1
-        out, borrow = [], 0
-        for d in self.digits:
-            t = -d - borrow
-            borrow, d2 = (1, t + self.base) if t < 0 else (0, t)
-            out.append(d2 % self.base)
         iv = None if self._int_value is None else -self._int_value
-        return PAdicInt(self.base, out, iv)
+        return PAdicInt._of(self.base, -self.residue, self.precision, iv)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_same_base(other)
-        n = min(self.precision, other.precision)
-        out = [0] * n
-        for i in range(n):
-            xi = self.digits[i]
-            if xi == 0:
-                continue
-            carry = 0
-            for j in range(n - i):
-                t = out[i + j] + xi * other.digits[j] + carry
-                carry, out[i + j] = divmod(t, self.base)
         iv = None
         if self._int_value is not None and other._int_value is not None:
             iv = self._int_value * other._int_value
-        return PAdicInt(self.base, out, iv)
+        n = min(self.precision, other.precision)
+        return PAdicInt._of(self.base, self.residue * other.residue, n, iv)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("only natural-number exponents are supported")
         m = self.base**self.precision
-        value = pow(self.to_int(), e, m)
         iv = None
         z = self._int_value
         if z is not None and (z in (-1, 0, 1) or (abs(z) < 10**6 and e <= 64)):
             iv = z**e
-        return PAdicInt(self.base, _digits_simple(value, self.base, self.precision), iv)
+        return PAdicInt._of(self.base, pow(self.residue, e, m), self.precision, iv)
 
     def invert_unit(self):
-        """Inverse of a unit by quadratic Hensel lifting from the first digit."""
+        """Inverse of a unit mod p^N."""
         self.require_prime_base()
-        if self.digits[0] == 0:
-            raise NotAUnit("constant digit is zero")
         p, n = self.base, self.precision
-        u = self.to_int()
-        x = pow(self.digits[0], -1, p)
-        known = 1
-        while known < n:
-            known = min(2 * known, n)
-            m = p**known
-            x = (x * (2 - u * x)) % m
+        if self.residue % p == 0:
+            raise NotAUnit("constant digit is zero")
         iv = None
         if self._int_value in (1, -1):
             iv = self._int_value
-        return PAdicInt(self.base, _digits_simple(x, p, n), iv)
+        return PAdicInt._of(p, pow(self.residue, -1, p**n), n, iv)
 
     # -- valuations --------------------------------------------------------
 
     def valuation(self):
-        for i, d in enumerate(self.digits):
-            if d != 0:
-                return ValuationBound.exact(i)
+        if self.residue:
+            return ValuationBound.exact(_vp(self.residue, self.base))
         if self._int_value == 0:
             return ValuationBound.infinite()
         return ValuationBound.at_least(self.precision)
@@ -280,12 +265,9 @@ class PAdicInt:
                 "all %d known digits vanish" % self.precision
             )
         e = v.amount
-        iv = None
-        if self._int_value is not None and e > 0:
-            iv = self._int_value // (self.base**e)
-        elif self._int_value is not None:
-            iv = self._int_value
-        return e, PAdicInt(self.base, self.digits[e:], iv)
+        shift = self.base**e
+        iv = None if self._int_value is None else self._int_value // shift
+        return e, PAdicInt._of(self.base, self.residue // shift, self.precision - e, iv)
 
     # -- comparisons and display -------------------------------------------
 
@@ -296,8 +278,8 @@ class PAdicInt:
             return NotImplemented
         if self.base != other.base:
             return False
-        n = min(self.precision, other.precision)
-        return self.digits[:n] == other.digits[:n]
+        m = self.base ** min(self.precision, other.precision)
+        return self.residue % m == other.residue % m
 
     __hash__ = None  # big-O equality is precision-relative; do not hash
 

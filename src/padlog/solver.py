@@ -257,10 +257,16 @@ def _depth_comparison_verdict(da, db):
             verdict="undetermined",
             reason="depth(b) is hidden beyond working precision",
         )
-    # da is a truncation bound
+    # da is a truncation bound: true depth(a) >= bound
     if db.is_infinite:
         return ExistenceVerdict(
             verdict="solvable", reason="b's principal part is exactly trivial"
+        )
+    if db.is_exact and db.amount < da.amount:
+        return ExistenceVerdict(
+            verdict="unsolvable",
+            reason="depth(a) >= %d > depth(b) = %d" % (da.amount, db.amount),
+            failing_level=db.amount + 1,
         )
     return ExistenceVerdict(
         verdict="undetermined",
@@ -450,16 +456,14 @@ def solve_log_ratio(a, b, p, precision):
     if not vb.is_exact:
         # log b is zero to working precision: so is x, to the digits we owe
         return LogRatioResult(
-            x=PAdicInt(p, (0,) * precision), depth_a=c, precision_loss=c
+            x=PAdicInt._of(p, 0, precision), depth_a=c, precision_loss=c
         )
     e_a, u_a = la.unit_factor()
     e_b, u_b = lb.unit_factor()
     q = u_b * u_a.invert_unit()
     shift = e_b - e_a
-    digits = (0,) * shift + q.digits
-    return LogRatioResult(
-        x=PAdicInt(p, digits[:precision]), depth_a=c, precision_loss=c
-    )
+    x = PAdicInt._of(p, q.residue * p**shift, precision)
+    return LogRatioResult(x=x, depth_a=c, precision_loss=c)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +497,7 @@ def _principal(u, p, digits):
     +-u at p = 2, u^(p-1) at odd p, to at least ``digits`` digits."""
     u = _at(u, p, digits)
     if p == 2:
-        return u if u.digits[1] == 0 else -u
+        return u if u.residue % 4 == 1 else -u
     return u ** (p - 1)
 
 

@@ -19,7 +19,7 @@ from .errors import (
     NotAUnit,
     NotPrincipalUnit,
 )
-from .padic import PAdicInt, ValuationBound, _digits_simple
+from .padic import PAdicInt, ValuationBound
 from .residue import _require_prime, order_mod
 
 
@@ -98,7 +98,7 @@ def teichmuller_lift(a0, p, precision):
         x += digit * p**n
     if pow(x, k, p**precision) != 1:
         raise InternalInvariantError("lift is not a root of x^%d - 1" % k)
-    return PAdicInt(p, _digits_simple(x, p, precision))
+    return PAdicInt._of(p, x, precision)
 
 
 def teichmuller_set(p, precision):
@@ -123,20 +123,20 @@ def decompose_unit(u):
     u.require_prime_base()
     p = u.base
     if p == 2:
-        if u.digits[0] != 1:
+        if u.residue % 2 == 0:
             raise NotAUnit("even values are not units")
         if u.precision < 2:
             raise InsufficientPrecision(
                 "the sign of a 2-adic unit lives in its second digit"
             )
-        if u.digits[1] == 0:
+        if u.residue % 4 == 1:
             omega = PAdicInt.from_integer(1, 2, u.precision)
             principal = u
         else:
             omega = PAdicInt.from_integer(-1, 2, u.precision)
             principal = -u
         return omega, principal
-    d0 = u.digits[0]
+    d0 = u.residue % p
     if d0 == 0:
         raise NotAUnit("first digit zero: not a unit")
     omega = teichmuller_lift(d0, p, u.precision)
@@ -146,7 +146,7 @@ def decompose_unit(u):
         principal = -u
     else:
         principal = u * omega.invert_unit()
-    if principal.digits[0] != 1:
+    if principal.residue % p != 1:
         raise InternalInvariantError("principal part is not 1 mod p")
     return omega, principal
 
@@ -173,14 +173,14 @@ def depth(u, strict=True):
     """
     u.require_prime_base()
     p = u.base
-    if u.digits[0] == 0:
+    if u.residue % p == 0:
         raise NotAUnit("depth is defined for units only")
     if p == 2:
         if u.precision < 2:
             raise InsufficientPrecision("need two digits to place a 2-adic unit")
-        in_domain = u.digits[1] == 0
+        in_domain = u.residue % 4 == 1
     else:
-        in_domain = u.digits[0] == 1
+        in_domain = u.residue % p == 1
     if strict and not in_domain:
         raise NotPrincipalUnit(
             "u - 1 is a unit here; pass strict=False to measure anyway"

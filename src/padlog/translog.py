@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientPrecision, NotPrincipalUnit
-from .padic import PAdicInt, _digits_simple
+from .padic import PAdicInt
 from .residue import _vp
 
 
@@ -26,16 +26,6 @@ def factorial_valuation(n, p):
     while q <= n:
         out += n // q
         q *= p
-    return out
-
-
-def _unit_part_of_factorial(n, p, modulus):
-    """n! / p^(v_p(n!)) reduced mod modulus, computed factor by factor."""
-    out = 1
-    for i in range(2, n + 1):
-        while i % p == 0:
-            i //= p
-        out = out * i % modulus
     return out
 
 
@@ -51,14 +41,14 @@ def padic_exp(x, precision=None):
     K = x.precision if precision is None else min(precision, x.precision)
     if K < 1:
         raise InsufficientPrecision("need at least one digit of working precision")
-    X = x.to_int() % p**K
+    X = x.residue % p**K
     min_v = 2 if p == 2 else 1
     if X == 0:
         # zero to working precision: every term past 1 is invisible; the
         # answer is exactly 1 only when the input is exactly 0
         if x._int_value == 0:
             return PAdicInt.from_integer(1, p, K)
-        return PAdicInt(p, (1,) + (0,) * (K - 1))
+        return PAdicInt._of(p, 1, K)
     v = _vp(X, p)
     if v < min_v:
         raise DomainError(
@@ -70,16 +60,21 @@ def padic_exp(x, precision=None):
     modulus = p**guard
     total = 0
     u_pow = 1  # U^n mod modulus
+    # n! = p^f * m with m a unit; m^(-1) mod modulus is carried along, since
+    # inverting the small factor n / p^k is far cheaper than inverting m
+    f, m_inv = 0, 1
     for n in range(n_stop):
-        f = factorial_valuation(n, p)
-        m = _unit_part_of_factorial(n, p, modulus)
+        if n:
+            k = _vp(n, p)
+            f += k
+            m_inv = m_inv * pow(n // p**k, -1, modulus) % modulus
         exponent = n * v - f
         if exponent < 0:
             raise DomainError("term %d has negative valuation" % n)
         if exponent < K:
-            total = (total + pow(p, exponent, modulus) * u_pow * pow(m, -1, modulus)) % modulus
+            total = (total + pow(p, exponent, modulus) * u_pow * m_inv) % modulus
         u_pow = u_pow * U % modulus
-    return PAdicInt(p, _digits_simple(total, p, K))
+    return PAdicInt._of(p, total, K)
 
 
 def padic_log(u, precision=None):
@@ -96,17 +91,17 @@ def padic_log(u, precision=None):
     min_c = 2 if p == 2 else 1
     if p == 2 and u.precision < 2:
         raise InsufficientPrecision("cannot see mod 4 with one digit")
-    head = u.to_int() % p**min_c
+    head = u.residue % p**min_c
     if head != 1:
         raise NotPrincipalUnit(
             "log needs u = 1 mod %d; got residue %d" % (p**min_c, head)
         )
     if u._int_value == 1:
         return PAdicInt.from_integer(0, p, K)
-    w = (u.to_int() - 1) % p**K
+    w = (u.residue - 1) % p**K
     if w == 0:
         # u - 1 is invisible at this precision, so log is too
-        return PAdicInt(p, (0,) * K)
+        return PAdicInt._of(p, 0, K)
     c = _vp(w, p)
     W = w // p**c  # u - 1 = p^c * W
     n_stop = 1
@@ -128,7 +123,7 @@ def padic_log(u, precision=None):
             total = (total + term) % modulus
         else:
             total = (total - term) % modulus
-    return PAdicInt(p, _digits_simple(total, p, K))
+    return PAdicInt._of(p, total, K)
 
 
 def _floor_log(n, p):
@@ -183,7 +178,7 @@ def power_u1_to_uk(a, k):
     """
     a.require_prime_base()
     p = a.base
-    if a.digits[0] != 1:
+    if a.residue % p != 1:
         raise NotPrincipalUnit("the squeeze is defined on units = 1 mod p")
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -182,20 +182,22 @@ def test_exact_pair_decided_at_one_digit(capsys):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_dlog_exit_codes_follow_check_existence(p, capsys):
-    box = [c for c in range(-9, 10) if c % p]
-    for a in box:
+    # a = -1 never pins a digit, so its failing level (5 for b = 17 at
+    # p = 2) can lie above the levels that -N 1 asks the lift route for
+    for a in [c for c in range(-9, 10) if c % p]:
         if a == 1:
             continue
-        for b in box:
+        for b in [c for c in range(-9, 18) if c % p]:
             want = check_existence(a, b, p)
             for method in ("lift", "units"):
-                argv = ["dlog", "-p", str(p), "-a", str(a), "-b", str(b), "-N", "4",
-                        "--method", method, "--format", "json"]
-                code, out, _ = run_cli(argv, capsys)
-                assert code == want.exit_style, (a, b, p, method)
-                if code == EX_UNSOLVABLE:
-                    level = json_rows(out)[-1]["failing_level"]
-                    assert level == want.failing_level, (a, b, p, method)
+                for n in ("1", "4"):
+                    argv = ["dlog", "-p", str(p), "-a", str(a), "-b", str(b), "-N", n,
+                            "--method", method, "--format", "json"]
+                    code, out, _ = run_cli(argv, capsys)
+                    assert code == want.exit_style, (a, b, p, method, n)
+                    if code == EX_UNSOLVABLE:
+                        level = json_rows(out)[-1]["failing_level"]
+                        assert level == want.failing_level, (a, b, p, method, n)
 
 
 def test_domain_errors_are_65(capsys):

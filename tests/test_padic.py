@@ -139,15 +139,18 @@ def test_mul_matches_integer_oracle_randomized():
     st.integers(min_value=-(10**9), max_value=10**9),
     st.integers(min_value=-(10**9), max_value=10**9),
     st.sampled_from([2, 3, 5, 7, 10]),
+    st.sampled_from([16, 200, 1000]),
 )
-def test_ring_homomorphism_property(a, b, base):
-    n = 16
+def test_ring_homomorphism_property(a, b, base, n):
     assert (from_integer(a, base, n) + from_integer(b, base, n)) == from_integer(
         a + b, base, n
     )
     assert (from_integer(a, base, n) * from_integer(b, base, n)) == from_integer(
         a * b, base, n
     )
+    # the stored residue is the canonical one, 0 <= residue < base^n
+    assert (from_integer(a, base, n) * from_integer(b, base, n)).to_int() == a * b % base**n
+    assert (-from_integer(a, base, n)).to_int() == -a % base**n
 
 
 def test_ring_homomorphism_exhaustive_small_range():
@@ -400,6 +403,12 @@ def test_format_and_parse_roundtrip():
     assert x.format_digits() == "5,5,3,2@7^4"
     y = parse_padic("5,5,3,2@7^4")
     assert y.digits == x.digits and y.base == 7
+    # digits survive the residue form, trailing zeros and precision included
+    for base, ds in ((7, (5, 5, 3, 2)), (5, (1, 0, 0, 0)), (2, (0, 1, 0, 0, 0)), (10, (9, 0, 0))):
+        x = PAdicInt(base, ds)
+        assert x.digits == tuple(ds) and x.precision == len(ds)
+        y = parse_padic(x.format_digits())
+        assert y == x and y.digits == x.digits and y.precision == len(ds)
 
 
 def test_power_sum_rendering():

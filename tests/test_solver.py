@@ -284,8 +284,9 @@ def test_existence_base2_sign_couplings():
 def test_existence_undetermined_by_truncation():
     a = PAdicInt(5, (1, 0, 0, 0))  # visibly 1 but not exactly
     b = from_integer(6, 5, 4)
+    # every completion of a has depth >= 4 > 1 = depth(6): decided anyway
     v = check_existence(a, b, 5)
-    assert v.verdict == "undetermined"
+    assert (v.verdict, v.failing_level) == ("unsolvable", 2)
     # reversed: b hides its depth beyond precision while a is shallow: fine
     v = check_existence(b, PAdicInt(5, (1, 0, 0, 0)), 5)
     assert v.verdict == "solvable"
