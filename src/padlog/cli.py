@@ -35,11 +35,17 @@ import sys
 import sympy
 
 from .errors import AIsOne, NotInRange, PadlogError, UnknownTable, UnsolvableError
-from .padic import PAdicInt, _digits_simple
+from .padic import PAdicInt
 from .primroot import all_stable_roots
 from .quotient import power_map_report
 from .residue import group_structure, order_mod
-from .solver import check_existence, solve_by_lifting, solve_log_ratio, solve_units
+from .solver import (
+    _depth,
+    check_existence,
+    solve_by_lifting,
+    solve_log_ratio,
+    solve_units,
+)
 from .special import analyze_pair, cycle_decomposition
 from .teichmuller import teichmuller_lift
 
@@ -51,9 +57,6 @@ EX_DOMAIN = 65
 
 #: primes of the classical stable-root table, in its printed order
 TABLE_PRIMES = (5, 13, 17, 29, 37, 41, 7, 11, 19, 23, 31, 43)
-
-#: how many extra levels one climb attempt adds before re-checking
-_CLIMB_ROUNDS = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,13 +83,6 @@ def _emit(args, records, human_lines):
             print(line)
 
 
-def _digit_list(value, base, count):
-    """First ``count`` base-p digits of ``value`` (empty when count is 0)."""
-    if count <= 0:
-        return []
-    return list(_digits_simple(value, base, count))
-
-
 def _csv(digits):
     return ",".join(str(d) for d in digits)
 
@@ -106,27 +102,24 @@ def _bracket(factors):
 
 
 def _climbing_trace(a, b, p, want_digits):
-    """Lifting trace extended until ``want_digits`` digits are pinned.
+    """Lifting trace climbed to at least ``want_digits + 2`` levels and
+    until ``want_digits`` digits are pinned.
 
     The verdict comes from the decision procedure: an unsolvable pair is
     climbed exactly to its failing level, which may lie above any level
     the digit count asks for.  Pure torsion bases (a = -1) never pin more
-    digits, so they get a fixed short climb; everything else grows one
-    digit per level once the orders start multiplying by p, so the loop
-    terminates.
+    digits.  For any other base the order law pins n - depth(a) digits at
+    level n >= depth(a) (at p = 2 and a = 3 mod 4, at least one), so level
+    want_digits + depth(a) pins the digits when level want_digits + 2 does
+    not.
     """
     verdict = check_existence(a, b, p)
     if verdict.verdict == "unsolvable":
         return solve_by_lifting(a, b, p, verdict.failing_level)
-    n_max = want_digits + 2
-    if a == -1:
-        return solve_by_lifting(a, b, p, n_max)
-    for _ in range(_CLIMB_ROUNDS):
-        trace = solve_by_lifting(a, b, p, n_max)
-        if trace.verdict == "unsolvable" or len(trace.digits) >= want_digits:
-            return trace
-        n_max += want_digits - len(trace.digits)
-    return trace
+    trace = solve_by_lifting(a, b, p, want_digits + 2)
+    if a == -1 or len(trace.digits) >= want_digits:
+        return trace
+    return solve_by_lifting(a, b, p, want_digits + _depth(a, p, 1).amount)
 
 
 def _dlog_lift(args):
@@ -135,11 +128,12 @@ def _dlog_lift(args):
     records = []
     human = []
     for row in trace.rows:
+        # the digits a row pins are a prefix of the limit's
         records.append(
             {
                 "n": row.n,
                 "x_n": row.x_n,
-                "digits": _digit_list(row.x_n, args.p, row.digit_count),
+                "digits": list(trace.digits[: row.digit_count]),
                 "verdict": "solvable",
             }
         )
@@ -382,7 +376,7 @@ def _dlog_rows(a, b, p, n_max, n_min=1):
             {
                 "n": row.n,
                 "x_n": row.x_n,
-                "digits": _digit_list(row.x_n, p, row.digit_count),
+                "digits": list(trace.digits[: row.digit_count]),
                 "verdict": "solvable",
             }
         )

@@ -1,9 +1,10 @@
 """Finite-level facts about the unit groups mod p^n.
 
 Element orders, how the order of a fixed integer grows with the level n,
-membership in cyclic subgroups, the abelian structure of (Z/nZ)^*, and a
-deliberately naive discrete-log-by-enumeration oracle that anchors every
-cleverer solver in the package.
+membership in cyclic subgroups, the abelian structure of (Z/nZ)^*, the one
+discrete log mod p the solvers use (Pohlig-Hellman with baby-step
+giant-step), and a deliberately naive discrete-log-by-enumeration oracle
+that anchors every cleverer solver in the package.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .errors import (
 )
 
 BRUTE_DLOG_CAP = 10**7
+#: baby steps one discrete log mod p may tabulate: prime factors of the
+#: order up to about 10^12; a larger one raises ModulusTooLarge
+BSGS_MAX_BABY_STEPS = 2**20
 
 
 def _cap(default):
@@ -297,6 +301,63 @@ def brute_dlog(a, b, p, n):
             return x
         cur = (cur * a) % m
     return None
+
+
+def _dlog_prime_order(g, h, q, p):
+    """x in [0, q) with g^x = h mod p, for g of prime order q and h in <g>.
+
+    Baby-step giant-step: a table of g^i for i < s, s = ceil(sqrt(q)), then
+    giant steps h * g^(-s k) until one lands in it.
+    """
+    s = math.isqrt(q - 1) + 1
+    if s > BSGS_MAX_BABY_STEPS:
+        raise ModulusTooLarge(
+            "a discrete log mod %d needs %d baby steps for the prime factor %d "
+            "of the order; the cap is %d" % (p, s, q, BSGS_MAX_BABY_STEPS)
+        )
+    baby = {}
+    cur = 1
+    for i in range(s):
+        baby[cur] = i
+        cur = cur * g % p
+    giant = pow(g, -s, p)
+    for k in range(s):
+        if h in baby:
+            return k * s + baby[h]
+        h = h * giant % p
+    raise InternalInvariantError("no giant step met a baby step of %d mod %d" % (g, p))
+
+
+def _dlog_mod_p(a, b, p, order):
+    """Smallest x in [0, order) with a^x = b mod p, or None if b is not in <a>.
+
+    ``order`` must be the exact order of a mod p.  Pohlig-Hellman: for each
+    prime power q^e of the order, the digits of x mod q^e come one at a time
+    from a log in the subgroup of order q, and CRT glues the residues.  The
+    cost is O(sum e * sqrt(q)) multiplies mod p.  The primes q come from the
+    memoized factorization of p - 1, which the order divides.
+    """
+    a %= p
+    b %= p
+    if pow(b, order, p) != 1:
+        return None  # <a> is the unique subgroup of its order in (Z/p)^*
+    x = 0
+    for q, _ in _factorization(p - 1):
+        e = _vp(order, q)
+        if not e:
+            continue
+        qe = q**e
+        cofactor = order // qe
+        g, h = pow(a, cofactor, p), pow(b, cofactor, p)  # the order-q^e parts
+        gamma = pow(g, qe // q, p)  # order q
+        xq = 0
+        for k in range(e):
+            # h * g^(-xq) has order dividing q^(e-k): its next digit is a log
+            # in <gamma>
+            hk = pow(h * pow(g, -xq, p), q ** (e - 1 - k), p)
+            xq += _dlog_prime_order(gamma, hk, q, p) * q**k
+        x += xq * cofactor * pow(cofactor, -1, qe)
+    return x % order
 
 
 def subgroup_contains(a, b, p, n):

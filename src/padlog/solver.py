@@ -41,7 +41,7 @@ from .errors import (
     ZeroInput,
 )
 from .padic import PAdicInt, ValuationBound, _digits_simple
-from .residue import _require_prime, _vp, order_mod
+from .residue import _dlog_mod_p, _require_prime, _vp, order_mod
 from .translog import padic_log
 
 
@@ -98,13 +98,16 @@ class LiftingTrace:
 def solve_by_lifting(a, b, p, n_max):
     """Solve a^x = b level by level up to mod p^n_max.
 
-    At each level the solution class mod the previous order is refined by
-    testing the handful of candidates the order ratio allows.  The x_n are
-    the smallest positive solutions and converge p-adically; the trace
+    Level 1 is one discrete log mod p (Pohlig-Hellman).  Above it the order
+    is ord_(n-1) or p * ord_(n-1), and the solutions mod p^n lie among
+    x_(n-1) + j * ord_(n-1).  When the order stays, x_(n-1) alone either
+    solves the level or fails it; when it grows, the Hensel digit decides:
+    with a^ord_(n-1) = 1 + p^(n-1) u and b * a^(-x_(n-1)) = 1 + p^(n-1) w
+    mod p^n, the next digit is j = w / u mod p.  a^ord_(n-1) and a^x_(n-1)
+    are carried mod p^n_max, so a level costs O(log p) multiplies.  The x_n
+    are the smallest positive solutions and converge p-adically; the trace
     records them together with the digits of the limit that each level
     fixes.  An unsolvable level ends the climb with that level recorded.
-    Only level 1 computes an order from scratch; above it the order is
-    ord_(n-1) or p * ord_(n-1), and one ``pow`` tells which.
     """
     _require_prime(p)
     if n_max < 1:
@@ -113,56 +116,44 @@ def solve_by_lifting(a, b, p, n_max):
         raise ZeroInput("0 is not a unit and has no discrete log")
     if a % p == 0 or b % p == 0:
         _classify_nonunit(a, b, p)
-    rows = []
-    x = None
-    prev_order = None
+    order = order_mod(a, p)
+    x = _dlog_mod_p(a, b, p, order)
+    if x is None:
+        return LiftingTrace(
+            a=a, b=b, p=p, rows=(), verdict="unsolvable", failing_level=1
+        )
+    x = x or order
+    rows = [LiftingRow(n=1, x_n=x, order=order, digit_count=0)]
     pinned = 0  # v_p(order): the level-1 order divides p - 1
-    for n in range(1, n_max + 1):
-        m = p**n
-        target = b % m
-        found = None
-        if n == 1:
-            order = order_mod(a, m)
-            cur = a % m
-            for cand in range(1, order + 1):
-                if cur == target:
-                    found = cand
-                    break
-                cur = cur * a % m
+    top, m = p**n_max, p
+    a_order, a_x = pow(a, order, top), pow(a, x, top)
+    failing = None
+    for n in range(2, n_max + 1):
+        # Reduction mod p^n -> p^(n-1) has a kernel of order p (p = 2
+        # included), so the order either stays or gains one factor p.
+        low, m = m, m * p
+        step = a_order % m
+        if step == 1:
+            if a_x % m != b % m:
+                failing = n
+                break
         else:
-            # Reduction mod p^n -> p^(n-1) has a kernel of order p (p = 2
-            # included), so the order either stays or gains one factor p;
-            # a^prev_order is also the step between the candidates.
-            step = pow(a, prev_order, m)
-            order = prev_order
-            if step != 1:
-                order *= p
-                pinned += 1
-            cur = pow(a, x, m)
-            for j in range(order // prev_order):
-                if cur == target:
-                    found = x + j * prev_order
-                    break
-                cur = cur * step % m
-        if found is None:
-            return LiftingTrace(
-                a=a,
-                b=b,
-                p=p,
-                rows=tuple(rows),
-                verdict="unsolvable",
-                failing_level=n,
-                digits=_trace_digits(rows, p),
-            )
-        x = found
+            # step = 1 + low * u; b - a^x = a^x * low * w (mod m)
+            u = (step - 1) // low
+            j = (b - a_x) % m // low * pow(a_x * u, -1, p) % p
+            x += j * order
+            a_x = a_x * pow(a_order, j, top) % top
+            a_order = pow(a_order, p, top)
+            order *= p
+            pinned += 1
         rows.append(LiftingRow(n=n, x_n=x, order=order, digit_count=pinned))
-        prev_order = order
     return LiftingTrace(
         a=a,
         b=b,
         p=p,
         rows=tuple(rows),
-        verdict="solvable",
+        verdict="solvable" if failing is None else "unsolvable",
+        failing_level=failing,
         digits=_trace_digits(rows, p),
     )
 
@@ -519,11 +510,9 @@ def solve_units(a, b, p, precision=12):
     if p == 2:
         t = zb % 4 // 2  # the parity that b's sign demands
     else:
-        # the split checked that b's residue is a power of a's
-        t, cur = 0, 1
-        while cur != zb % p:
-            cur = cur * za % p
-            t += 1
+        # the split checked that b's residue is a power of a's, and m is
+        # the order of a mod p
+        t = _dlog_mod_p(za, zb, p, m)
     common = dict(p=p, precision=precision, torsion_modulus=m, torsion_residue=t)
     if verdict.verdict == "undetermined":
         return UnitsSolution(

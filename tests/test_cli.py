@@ -6,6 +6,7 @@ of json-lines output, and the digit round-trip guarantee.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,36 @@ def test_dlog_exit_codes_follow_check_existence(p, capsys):
                         assert level == want.failing_level, (a, b, p, method, n)
 
 
+def test_lift_climb_reaches_the_digits_of_a_deep_base(capsys):
+    # depth(a) = 300: no digit of x is pinned below level 301, and the
+    # third one at level 303; the units route reads x = 7 directly
+    a = 1 + 3**300
+    b = pow(a, 7, 3**400)
+    argv = ["dlog", "-p", "3", "-a", str(a), "-b", str(b), "-N", "3", "--format", "json"]
+    code, out, _ = run_cli(argv + ["--method", "lift"], capsys)
+    assert code == EX_OK
+    rows = json_rows(out)
+    assert rows[-2]["n"] == 303
+    assert (rows[-1]["digits"], rows[-1]["x"]) == ([1, 2, 0], 7)
+    code, out, _ = run_cli(argv + ["--method", "units"], capsys)
+    assert code == EX_OK
+    assert (json_rows(out)[-1]["digits"], json_rows(out)[-1]["x"]) == ([1, 2, 0], 7)
+
+
+def test_dlog_beyond_the_baby_step_cap_is_65(capsys):
+    # p - 1 = 2 * 2199023256029: a log in the large prime factor would
+    # tabulate about 1.5 * 10^6 baby steps
+    for method in ("lift", "units"):
+        code, out, err = run_cli(
+            ["dlog", "-p", "4398046512059", "-a", "3", "-b", "9", "-N", "2",
+             "--method", method],
+            capsys,
+        )
+        assert code == EX_DOMAIN, method
+        assert out == ""
+        assert "modulus-too-large" in err
+
+
 def test_domain_errors_are_65(capsys):
     code, _, err = run_cli(["teich", "-p", "5", "-a0", "9", "-N", "4"], capsys)
     assert code == EX_DOMAIN
@@ -253,10 +284,14 @@ def test_dlog_row_schema(capsys):
 
 
 def test_console_script_runs():
+    # the child does not read pytest's pythonpath setting, so hand it src
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "padlog.cli", "structure", "8"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "[2,2]"

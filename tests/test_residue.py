@@ -22,6 +22,7 @@ from padlog.errors import (
 )
 from padlog.residue import (
     AbelianStructure,
+    _dlog_mod_p,
     brute_dlog,
     census_unit_group_structure,
     euler_phi,
@@ -283,6 +284,42 @@ def test_brute_dlog_rejects_nonunits():
         brute_dlog(10, 3, 5, 2)
     with pytest.raises(NotCoprime):
         brute_dlog(3, 10, 5, 2)
+
+
+# ---------------------------------------------------------------------------
+# _dlog_mod_p: Pohlig-Hellman with baby-step giant-step
+
+
+def test_dlog_mod_p_matches_enumeration_below_200():
+    # p - 1 = 16 (p = 17), 96 = 2^5 * 3 and 192 = 2^6 * 3 run the
+    # prime-power digit loop
+    for p in sympy.primerange(2, 200):
+        for a in range(1, p):
+            order = order_mod(a, p)
+            first = {}
+            cur = 1
+            for x in range(order):
+                first[cur] = x
+                cur = cur * a % p
+            for b in range(1, p):
+                assert _dlog_mod_p(a, b, p, order) == first.get(b), (a, b, p)
+
+
+def test_dlog_mod_p_reduces_its_arguments():
+    assert _dlog_mod_p(-2, 3 + 5 * 7, 5, 4) == 1  # -2 = 3 mod 5
+    assert _dlog_mod_p(2, -1, 7, 3) is None  # -1 lies outside <2> mod 7
+
+
+def test_dlog_mod_p_caps_the_baby_steps():
+    # p - 1 = 2 * 2199023256029, whose large factor would need about
+    # 1.5 * 10^6 baby steps
+    p = 4398046512059
+    order = order_mod(3, p)
+    assert order % 2199023256029 == 0
+    with pytest.raises(ModulusTooLarge):
+        _dlog_mod_p(3, 9, p, order)
+    # membership alone needs no table: 3 is a square mod p, 2 is not
+    assert _dlog_mod_p(3, 2, p, order) is None
 
 
 # ---------------------------------------------------------------------------

@@ -103,24 +103,44 @@ def test_lifting_each_level_is_smallest():
         assert all(pow(-2, y, m) != 3 % m for y in range(1, min(x, 400)))
 
 
-@pytest.mark.parametrize("p, levels", [(2, 13), (3, 8), (5, 8), (7, 8)])
+def _seeded_pairs(p, count, seed):
+    rng = random.Random(seed)
+    m = p**3
+    pairs = []
+    while len(pairs) < count:
+        a, b = rng.randrange(2, m), rng.randrange(1, m)
+        if a % p and b % p:
+            # one pair with b a power of a mod p, so the climb goes on
+            pairs += [(a, b), (a, pow(a, rng.randrange(1, m), m))]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "p, levels", [(2, 13), (3, 8), (5, 8), (7, 8), (10007, 3), (65537, 3)]
+)
 def test_lifting_rows_follow_the_order_law(p, levels):
     # only level 1 computes an order from scratch; every higher row takes
     # ord_(n-1) or p * ord_(n-1), so each row is pinned against order_mod
-    box = [c for c in range(-30, 31) if c % p]
-    for a in box:
-        for b in box:
-            trace = solve_by_lifting(a, b, p, levels)
-            for row in trace.rows:
-                m = p**row.n
-                assert row.order == order_mod(a, m), (a, b, row)
-                # digit_count = v_p(order)
-                assert row.order % p**row.digit_count == 0, (a, b, row)
-                assert row.order % p ** (row.digit_count + 1) != 0, (a, b, row)
-                # solutions form x_n + order * Z, so the one in [1, order]
-                # is the smallest positive solution
-                assert 1 <= row.x_n <= row.order, (a, b, row)
-                assert pow(a, row.x_n, m) == b % m, (a, b, row)
+    if p > 7:
+        # 10006 = 2 * 5003 and 65536 = 2^16: the level-1 log runs
+        # baby-step giant-step in a large prime and the Pohlig-Hellman
+        # prime-power loop
+        pairs = _seeded_pairs(p, 12, p)
+    else:
+        box = [c for c in range(-30, 31) if c % p]
+        pairs = [(a, b) for a in box for b in box]
+    for a, b in pairs:
+        trace = solve_by_lifting(a, b, p, levels)
+        for row in trace.rows:
+            m = p**row.n
+            assert row.order == order_mod(a, m), (a, b, row)
+            # digit_count = v_p(order)
+            assert row.order % p**row.digit_count == 0, (a, b, row)
+            assert row.order % p ** (row.digit_count + 1) != 0, (a, b, row)
+            # solutions form x_n + order * Z, so the one in [1, order]
+            # is the smallest positive solution
+            assert 1 <= row.x_n <= row.order, (a, b, row)
+            assert pow(a, row.x_n, m) == b % m, (a, b, row)
 
 
 def test_lifting_unsolvable_level_recorded():
