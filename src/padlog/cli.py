@@ -30,24 +30,22 @@ brute-force caps used by the residue search and the pair analyzer.
 
 import argparse
 import json
+import os
 import sys
-
-import sympy
 
 from .errors import AIsOne, NotInRange, PadlogError, UnknownTable, UnsolvableError
 from .padic import PAdicInt
 from .primroot import all_stable_roots
 from .quotient import power_map_report
-from .residue import group_structure, order_mod
+from .residue import _is_prime, group_structure, order_profile
 from .solver import (
-    _depth,
     check_existence,
     solve_by_lifting,
     solve_log_ratio,
     solve_units,
 )
 from .special import analyze_pair, cycle_decomposition
-from .teichmuller import teichmuller_lift
+from .teichmuller import _depth, teichmuller_lift
 
 EX_OK = 0
 EX_UNSOLVABLE = 2
@@ -70,17 +68,19 @@ class _Parser(argparse.ArgumentParser):
 # output plumbing
 
 
-def _print_json(records):
-    for rec in records:
-        print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-
-
 def _emit(args, records, human_lines):
     if args.format == "json":
-        _print_json(records)
+        lines = (json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records)
     else:
-        for line in human_lines:
+        lines = human_lines
+    try:
+        for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _csv(digits):
@@ -122,22 +122,27 @@ def _climbing_trace(a, b, p, want_digits):
     return solve_by_lifting(a, b, p, want_digits + _depth(a, p, 1).amount)
 
 
+def _lift_records(trace, rows):
+    """One JSON record per lifting row, with the prefix of digits it pins."""
+    return [
+        {
+            "n": row.n,
+            "x_n": row.x_n,
+            "digits": list(trace.digits[: row.digit_count]),
+            "verdict": "solvable",
+        }
+        for row in rows
+    ]
+
+
 def _dlog_lift(args):
     trace = _climbing_trace(args.a, args.b, args.p, args.N)
     digits = list(trace.digits[: args.N])
-    records = []
-    human = []
-    for row in trace.rows:
-        # the digits a row pins are a prefix of the limit's
-        records.append(
-            {
-                "n": row.n,
-                "x_n": row.x_n,
-                "digits": list(trace.digits[: row.digit_count]),
-                "verdict": "solvable",
-            }
-        )
-        human.append("n=%-3d x_n=%-12d order=%d" % (row.n, row.x_n, row.order))
+    records = _lift_records(trace, trace.rows)
+    human = [
+        "n=%-3d x_n=%-12d order=%d" % (row.n, row.x_n, row.order)
+        for row in trace.rows
+    ]
     summary = {
         "digits": digits,
         "failing_level": trace.failing_level,
@@ -263,18 +268,22 @@ def cmd_teich(args):
     return EX_OK
 
 
+def _proot_rows(primes, full=False):
+    records = []
+    human = []
+    for q in primes:
+        roots = all_stable_roots(q, full=full)
+        records.append({"p": q, "roots": roots})
+        human.append("%d: %s" % (q, " ".join(str(r) for r in roots)))
+    return records, human
+
+
 def cmd_proot(args):
     last = args.through if args.through is not None else args.p
     if last < args.p:
         raise NotInRange("--through must be >= p, got %d < %d" % (last, args.p))
-    records = []
-    human = []
-    for q in range(args.p, last + 1):
-        if not sympy.isprime(q):
-            continue
-        roots = all_stable_roots(q, full=args.full)
-        records.append({"p": q, "roots": roots})
-        human.append("%d: %s" % (q, " ".join(str(r) for r in roots)))
+    primes = (q for q in range(args.p, last + 1) if _is_prime(q))
+    records, human = _proot_rows(primes, full=args.full)
     _emit(args, records, human)
     return EX_OK
 
@@ -367,41 +376,15 @@ def cmd_special(args):
 
 def _dlog_rows(a, b, p, n_max, n_min=1):
     trace = solve_by_lifting(a, b, p, n_max)
-    records = []
-    human = []
-    for row in trace.rows:
-        if row.n < n_min:
-            continue
-        records.append(
-            {
-                "n": row.n,
-                "x_n": row.x_n,
-                "digits": list(trace.digits[: row.digit_count]),
-                "verdict": "solvable",
-            }
-        )
-        human.append("n=%-3d x_n=%d" % (row.n, row.x_n))
-    return records, human
-
-
-def _table_gauss_proots():
-    records = []
-    human = []
-    for q in TABLE_PRIMES:
-        roots = all_stable_roots(q)
-        records.append({"p": q, "roots": roots})
-        human.append("%d: %s" % (q, " ".join(str(r) for r in roots)))
-    return records, human
+    rows = [row for row in trace.rows if row.n >= n_min]
+    human = ["n=%-3d x_n=%d" % (row.n, row.x_n) for row in rows]
+    return _lift_records(trace, rows), human
 
 
 def _table_order_2_mod_5n():
-    records = []
-    human = []
-    for n in range(1, 11):
-        order = order_mod(2, 5**n)
-        records.append({"n": n, "order": order})
-        human.append("n=%-3d order=%d" % (n, order))
-    return records, human
+    rows = order_profile(2, 5, 10).rows
+    records = [{"n": n, "order": order} for n, order in rows]
+    return records, ["n=%-3d order=%d" % row for row in rows]
 
 
 def _table_special_x_order():
@@ -444,7 +427,7 @@ def _table_special_cycles():
 
 
 TABLES = {
-    "gauss-proots": _table_gauss_proots,
+    "gauss-proots": lambda: _proot_rows(TABLE_PRIMES),
     "order-2-mod-5n": _table_order_2_mod_5n,
     "neg3-pow-5-mod-2n": lambda: _dlog_rows(-3, 5, 2, 10),
     "sq-pair-mod-2n": lambda: _dlog_rows(9, 25, 2, 20, n_min=5),

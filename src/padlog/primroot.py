@@ -13,24 +13,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import sympy
-
 from .errors import (
     InternalInvariantError,
     NotAPrimitiveRoot,
     WrongResidueClass,
 )
-from .residue import _require_prime, euler_phi, order_mod
+from .residue import _factorization, _require_prime, group_structure, order_mod
 
 
 def is_primitive_root(r, p, n=1):
-    """Does r generate the full unit group mod p^n?"""
+    """Does r generate the full unit group mod p^n?
+
+    A unit r generates exactly when r^(phi/q) != 1 mod p^n for every prime
+    q dividing phi = (p - 1) p^(n-1); r^phi = 1 holds for every unit.
+    """
     _require_prime(p)
     m = p**n
     r %= m
     if math.gcd(r, m) != 1:
         return False
-    return order_mod(r, m) == euler_phi(m)
+    phi = m - m // p
+    primes = [q for q, _ in _factorization(p - 1)]
+    if n > 1:
+        primes.append(p)
+    return all(pow(r, phi // q, m) != 1 for q in primes)
 
 
 def is_stable_root(r, p):
@@ -72,10 +78,9 @@ def _split_lcm(t, u):
     higher exponent, ties to the first.
     """
     m_a = m_b = 1
-    primes = set(sympy.factorint(t)) | set(sympy.factorint(u))
-    for q in primes:
-        e_t = sympy.multiplicity(q, t) if t % q == 0 else 0
-        e_u = sympy.multiplicity(q, u) if u % q == 0 else 0
+    f_t, f_u = dict(_factorization(t)), dict(_factorization(u))
+    for q in f_t.keys() | f_u.keys():
+        e_t, e_u = f_t.get(q, 0), f_u.get(q, 0)
         if e_t >= e_u:
             m_a *= q**e_t
         else:
@@ -98,12 +103,8 @@ def gauss_search(p):
     steps = []
     t = order_mod(a, p)
     while t < p - 1:
-        powers = set()
-        cur = 1
-        for _ in range(t):
-            cur = cur * a % p
-            powers.add(cur)
-        b = next(x for x in range(2, p) if x not in powers)
+        # <a> is the one subgroup of order t, so x lies in it iff x^t = 1
+        b = next(x for x in range(2, p) if pow(x, t, p) != 1)
         u = order_mod(b, p)
         m_a, m_b = _split_lcm(t, u)
         merged = pow(a, t // m_a, p) * pow(b, u // m_b, p) % p
@@ -185,13 +186,7 @@ def has_primitive_root(n):
     """Is the unit group mod n cyclic?  True for 1, 2, 4, p^m, 2 p^m."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n in (1, 2, 4):
-        return True
-    if n % 4 == 0:
-        return False
-    odd = n // 2 if n % 2 == 0 else n
-    fact = sympy.factorint(odd)
-    return len(fact) == 1
+    return n == 1 or group_structure(n).cyclic_order is not None
 
 
 def all_stable_roots(p, full=False):

@@ -17,10 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import sympy
-
 from .errors import DomainError, InternalInvariantError, ModulusTooLarge
-from .primroot import stabilize
+from .primroot import is_primitive_root, stabilize
 from .residue import (
     AbelianStructure,
     _require_prime,
@@ -161,13 +159,11 @@ def predicted_finite_cokernel(p, n, k):
 def _small_generator(p):
     """Smallest verified generator of the units mod an odd prime p.
 
-    g generates exactly when g^((p-1)/q) != 1 mod p for every prime q
-    dividing p - 1 (g^(p-1) = 1 holds automatically), so the search test
+    The search test is the witness test of ``is_primitive_root``, so it
     doubles as the order verification.
     """
-    witnesses = [(p - 1) // q for q in sympy.factorint(p - 1)]
     for g in range(2, p):
-        if all(pow(g, w, p) != 1 for w in witnesses):
+        if is_primitive_root(g, p):
             return g
     raise InternalInvariantError("the units mod %d yielded no generator" % p)
 
@@ -186,7 +182,7 @@ def _verified_generators(p, n):
         if n == 1:
             return ()
         if n == 2:
-            if order_mod(3, 4) != 2:
+            if not is_primitive_root(3, 2, 2):
                 raise InternalInvariantError("3 should generate the units mod 4")
             return ((3, 2),)
         half = 2 ** (n - 2)
@@ -200,7 +196,7 @@ def _verified_generators(p, n):
         return ((_small_generator(p), p - 1),)
     phi = (p - 1) * p ** (n - 1)
     root = stabilize(_small_generator(p), p).root
-    if order_mod(root, modulus) != phi:
+    if not is_primitive_root(root, p, n):
         raise InternalInvariantError("generator failed its order check mod p^n")
     return ((root, phi),)
 

@@ -140,7 +140,7 @@ def structure_from_power_counts(group_order, count_fn):
     if group_order == 1:
         return AbelianStructure.trivial()
     pieces = []
-    for q in sympy.factorint(group_order):
+    for q, _ in _factorization(group_order):
         heights = []  # m_j = number of cyclic q-factors of size >= q^j
         prev = 1
         j = 1
@@ -241,6 +241,12 @@ class OrderProfile:
 
 
 def order_profile(a, p, n_max):
+    """Order of a in (Z/p^n Z)^* for n = 1 .. n_max, from one order mod p.
+
+    The order law: reduction mod p^n -> p^(n-1) has a kernel of order p
+    (p = 2 included), so ord mod p^n is ord mod p^(n-1) when a^ord = 1
+    mod p^n, and p times it otherwise.
+    """
     _require_prime(p)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -254,26 +260,16 @@ def order_profile(a, p, n_max):
             "at base 2 the constant-prefix order law needs a = 1 (mod 4); "
             "profile -a or a^2 instead"
         )
-    rows = tuple((n, order_mod(a, p**n)) for n in range(1, n_max + 1))
-    if torsion:
-        return OrderProfile(a=a, p=p, rows=rows, stable_exponent=n_max, torsion=True)
-    x_o = rows[0][1]
-    k = 1
-    while k < n_max and rows[k][1] == x_o:
-        k += 1
-    if k == n_max and rows[-1][1] == x_o:
-        # the stable window covers everything we looked at
-        stable = n_max
-    else:
-        stable = k
-    for n, order in rows:
-        if n >= stable and order != x_o * p ** (n - stable):
-            raise InternalInvariantError(
-                "order law broke at level %d for a=%d, p=%d" % (n, a, p)
-            )
-        if n < stable and order != x_o:
-            raise InternalInvariantError("stable window is not constant")
-    return OrderProfile(a=a, p=p, rows=rows, stable_exponent=stable)
+    order = order_mod(a, p)
+    rows = [(1, order)]
+    for n in range(2, n_max + 1):
+        if pow(a, order, p**n) != 1:
+            order *= p
+        rows.append((n, order))
+    stable = n_max if torsion else sum(1 for _, o in rows if o == rows[0][1])
+    return OrderProfile(
+        a=a, p=p, rows=tuple(rows), stable_exponent=stable, torsion=torsion
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +377,7 @@ def group_structure(n):
     if n < 2:
         raise ValueError("n must be >= 2")
     factors = []
-    fact = sympy.factorint(n)
+    fact = dict(_factorization(n))
     for q in sorted(fact):
         k = fact[q]
         if q == 2:

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .padic import PAdicInt, ValuationBound, _digits_simple
 from .residue import _dlog_mod_p, _require_prime, _vp, order_mod
+from .teichmuller import _depth
 from .translog import padic_log
 
 
@@ -268,40 +269,6 @@ def _depth_comparison_verdict(da, db):
 def _value(u):
     """An int itself; a PAdicInt's representative mod p^N."""
     return u if isinstance(u, int) else u.to_int()
-
-
-def _depth(u, p, precision):
-    """depth(u) = v_p(u2 - 1) for u = (root of unity) * u2, no lift needed.
-
-    At odd p, u^(p-1) = u2^(p-1) kills the root of unity, and p - 1 is a
-    unit, so v_p(u^(p-1) - 1) is the depth.  At p = 2 it is v_2(+-u - 1),
-    the sign taken so that +-u = 1 mod 4.  An int is exact: its depth is
-    exact whatever ``precision``, and infinite only for +-1.  A PAdicInt is
-    read mod p^N: infinite only for a known +-1, and at least N when its N
-    digits do not show the depth.
-    """
-    exact = isinstance(u, int)
-    if exact:
-        z, known, k = u, u, precision
-    else:
-        if p == 2 and u.precision < 2:
-            raise InsufficientPrecision(
-                "the sign of a 2-adic unit lives in its second digit"
-            )
-        z, known, k = u.to_int(), u._int_value, u.precision
-    if known in (1, -1):
-        return ValuationBound.infinite()
-    while True:
-        m = p**k
-        if p == 2:
-            w = ((z if z % 4 == 1 else -z) - 1) % m
-        else:
-            w = (pow(z, p - 1, m) - 1) % m
-        if w:
-            return ValuationBound.exact(_vp(w, p))
-        if not exact:
-            return ValuationBound.at_least(k)
-        k *= 2
 
 
 def _exponent_is_unit(da, db):

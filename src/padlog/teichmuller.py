@@ -4,8 +4,9 @@ Every unit u in the p-adic integers factors uniquely as a root of unity
 (its Teichmuller part, congruent to u mod p) times a principal unit
 (congruent to 1 mod p).  For odd p the roots of unity are the p - 1 lifts
 of the nonzero residues; at p = 2 only 1 and -1 survive.  The lift is
-computed digit by digit with a Newton step on x^k - 1, where k is the
-order of the starting residue.
+computed by Newton's method on x^(p-1) - 1, doubling the correct digits
+at every step.  ``_depth`` measures the depth v_p(u2 - 1) of the principal
+part u2 for every caller in the package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     NotPrincipalUnit,
 )
 from .padic import PAdicInt, ValuationBound
-from .residue import _require_prime, order_mod
+from .residue import _require_prime, _vp, order_mod
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,16 @@ def teichmuller_lift(a0, p, precision):
         return PAdicInt.from_integer(1, p, precision)
     if a0 == p - 1:
         return PAdicInt.from_integer(-1, p, precision)
-    k = order_mod(a0, p)
-    k_inv = pow(k, -1, p)
-    x = a0
-    for n in range(1, precision):
-        modulus = p ** (n + 1)
-        c = (pow(x, k, modulus) - 1) % modulus
-        if c % p**n != 0:
-            raise InternalInvariantError("partial lift lost the root property")
-        digit = k_inv * a0 * (c // p**n) * (p - 1) % p
-        x += digit * p**n
-    if pow(x, k, p**precision) != 1:
-        raise InternalInvariantError("lift is not a root of x^%d - 1" % k)
+    # Newton on f(x) = x^(p-1) - 1: f(a0) = 0 mod p and f'(a0) is a unit,
+    # so each step doubles the digits that are right
+    x, k = a0, 1
+    while k < precision:
+        k = min(2 * k, precision)
+        m = p**k
+        f = pow(x, p - 1, m) - 1
+        x = (x - f * pow((p - 1) * pow(x, p - 2, m), -1, m)) % m
+    if pow(x, p - 1, p**precision) != 1:
+        raise InternalInvariantError("lift is not a root of x^%d - 1" % (p - 1))
     return PAdicInt._of(p, x, precision)
 
 
@@ -122,33 +121,54 @@ def decompose_unit(u):
     """
     u.require_prime_base()
     p = u.base
+    if u.residue % p == 0:
+        raise NotAUnit("first digit zero: not a unit")
     if p == 2:
-        if u.residue % 2 == 0:
-            raise NotAUnit("even values are not units")
         if u.precision < 2:
             raise InsufficientPrecision(
                 "the sign of a 2-adic unit lives in its second digit"
             )
-        if u.residue % 4 == 1:
-            omega = PAdicInt.from_integer(1, 2, u.precision)
-            principal = u
-        else:
-            omega = PAdicInt.from_integer(-1, 2, u.precision)
-            principal = -u
-        return omega, principal
-    d0 = u.residue % p
-    if d0 == 0:
-        raise NotAUnit("first digit zero: not a unit")
-    omega = teichmuller_lift(d0, p, u.precision)
-    if d0 == 1:
-        principal = u
-    elif d0 == p - 1:
-        principal = -u
+        omega = PAdicInt.from_integer(1 if u.residue % 4 == 1 else -1, 2, u.precision)
     else:
-        principal = u * omega.invert_unit()
+        omega = teichmuller_lift(u.residue, p, u.precision)
+    principal = u * omega.invert_unit()
     if principal.residue % p != 1:
         raise InternalInvariantError("principal part is not 1 mod p")
     return omega, principal
+
+
+def _depth(u, p, precision):
+    """depth(u) = v_p(u2 - 1) for u = (root of unity) * u2, no lift needed.
+
+    At odd p, u^(p-1) = u2^(p-1) kills the root of unity, and p - 1 is a
+    unit, so v_p(u^(p-1) - 1) is the depth.  At p = 2 it is v_2(+-u - 1),
+    the sign taken so that +-u = 1 mod 4.  An int is exact: its depth is
+    exact whatever ``precision``, and infinite only for +-1.  A PAdicInt is
+    read mod p^N: infinite only for a known +-1, and at least N when its N
+    digits do not show the depth.
+    """
+    exact = isinstance(u, int)
+    if exact:
+        z, known, k = u, u, precision
+    else:
+        if p == 2 and u.precision < 2:
+            raise InsufficientPrecision(
+                "the sign of a 2-adic unit lives in its second digit"
+            )
+        z, known, k = u.to_int(), u._int_value, u.precision
+    if known in (1, -1):
+        return ValuationBound.infinite()
+    while True:
+        m = p**k
+        if p == 2:
+            w = ((z if z % 4 == 1 else -z) - 1) % m
+        else:
+            w = (pow(z, p - 1, m) - 1) % m
+        if w:
+            return ValuationBound.exact(_vp(w, p))
+        if not exact:
+            return ValuationBound.at_least(k)
+        k *= 2
 
 
 @dataclass(frozen=True)
@@ -175,15 +195,16 @@ def depth(u, strict=True):
     p = u.base
     if u.residue % p == 0:
         raise NotAUnit("depth is defined for units only")
-    if p == 2:
-        if u.precision < 2:
-            raise InsufficientPrecision("need two digits to place a 2-adic unit")
-        in_domain = u.residue % 4 == 1
-    else:
-        in_domain = u.residue % p == 1
+    # at p = 2 a one-digit u lands in the region, and _depth refuses it
+    in_domain = u.residue % (4 if p == 2 else p) == 1
     if strict and not in_domain:
         raise NotPrincipalUnit(
             "u - 1 is a unit here; pass strict=False to measure anyway"
         )
-    shifted = u - PAdicInt.from_integer(1, p, u.precision)
-    return Depth(valuation=shifted.valuation(), in_log_domain=in_domain)
+    if in_domain:
+        # u is its own principal part
+        valuation = _depth(u, p, u.precision)
+    else:
+        # u - 1 is a unit, or twice one at p = 2
+        valuation = ValuationBound.exact(int(p == 2))
+    return Depth(valuation=valuation, in_log_domain=in_domain)

@@ -157,10 +157,7 @@ def as_principal(u, level=None):
     u.require_prime_base()
     p = u.base
     w = (u.to_int() - 1) % p**u.precision
-    seen = 0
-    while seen < u.precision and w % p == 0:
-        w //= p
-        seen += 1
+    seen = _vp(w, p) if w else u.precision
     if level is None:
         level = seen
     if level < 1 or seen < level:

@@ -283,18 +283,43 @@ def test_dlog_row_schema(capsys):
     assert rows[-1]["verdict"] == "solvable"
 
 
-def test_console_script_runs():
+def child_env():
     # the child does not read pytest's pythonpath setting, so hand it src
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "padlog.cli", "structure", "8"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "[2,2]"
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_closed_pipe_is_not_an_error(fmt):
+    # about 80 KB, more than a pipe buffer holds, so the child is still
+    # writing when the reader goes away (as under `| head -1`)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padlog.cli", "proot", "-p", "3",
+         "--through", "1000", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EX_OK
+    assert first.startswith(b'{"p":3,' if fmt == "json" else b"3: ")
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

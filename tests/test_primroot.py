@@ -45,6 +45,24 @@ def test_is_primitive_root_higher_levels():
     assert is_primitive_root(15, 29, 2)
 
 
+def naive_order(a, m):
+    """Order by literal powering."""
+    cur, x = a % m, 1
+    while cur != 1:
+        cur, x = cur * a % m, x + 1
+    return x
+
+
+def test_is_primitive_root_against_naive_orders_at_levels_two_and_three():
+    for p in (2, 3, 5, 7, 29):
+        for n in (2, 3):
+            m = p**n
+            # every residue up to 29^2; the first 150 at 29^3
+            for r in range(-3, m if m < 1000 else 150):
+                want = r % p != 0 and naive_order(r, m) == euler_phi(m)
+                assert is_primitive_root(r, p, n) == want, (r, p, n)
+
+
 def test_is_primitive_root_nonunit():
     assert not is_primitive_root(10, 5)
     assert not is_primitive_root(0, 7)

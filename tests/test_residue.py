@@ -5,11 +5,15 @@ and exhaustive subgroup enumeration.  The package functions must agree with
 those on everything small enough to enumerate.
 """
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 import sympy
+
+import padlog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,8 +176,16 @@ def test_profile_deep_congruence():
 
 
 def test_profile_rows_against_naive_orders():
-    for a, p in ((7, 3), (2, 5), (3, 7), (10, 3)):
-        prof = order_profile(a, p, 4)
+    cases = (
+        (7, 3, 8), (2, 5, 6), (3, 7, 5), (10, 3, 8), (14, 29, 3),
+        # p = 2: one mod four, growing late, and the torsion base
+        (5, 2, 8), (9, 2, 8), (-3, 2, 8), (-1, 2, 8),
+        # torsion at odd p, and a base that stays trivial for three levels
+        (-1, 3, 8), (-1, 7, 5), (1 + 3**3, 3, 8), (1 + 5**3, 5, 6),
+    )
+    for a, p, n_max in cases:
+        prof = order_profile(a, p, n_max)
+        assert [n for n, _ in prof.rows] == list(range(1, n_max + 1))
         for n, order in prof.rows:
             assert order == naive_order(a, p**n)
 
@@ -445,3 +457,24 @@ def test_fermat_euler_sampled():
         a = rng.randrange(1, n)
         if math.gcd(a, n) == 1:
             assert pow(a, euler_phi(n), n) == 1
+
+
+# ---------------------------------------------------------------------------
+# the sympy boundary
+
+
+def test_only_residue_imports_sympy():
+    # every prime test and factorization goes through residue._is_prime and
+    # residue._factorization, which memoize them
+    importers = set()
+    for path in Path(padlog.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                importers.add(path.name)
+    assert importers == {"residue.py"}

@@ -5,6 +5,8 @@ Teichmuller representative of x from any unit start.  Worked construction
 rows (the quotient/correction integers) pin the digit recurrence itself.
 """
 
+import random
+
 import pytest
 
 from padlog.errors import (
@@ -13,8 +15,9 @@ from padlog.errors import (
     NotAUnit,
     NotPrincipalUnit,
 )
-from padlog.padic import PAdicInt, from_integer
+from padlog.padic import PAdicInt, ValuationBound, from_integer
 from padlog.teichmuller import (
+    _depth,
     decompose_unit,
     depth,
     lift_trace,
@@ -70,10 +73,12 @@ def test_lift_trace_of_4_base_5():
 
 
 def test_lift_trace_digits_match_lift():
-    for a0 in (2, 3, 4):
-        rows = lift_trace(a0, 7, 5)
-        lifted = teichmuller_lift(a0, 7, 6)
-        assert tuple([a0] + [r.digit for r in rows]) == lifted.digits
+    # the digit-by-digit construction is the reference for Newton's doubling
+    for p in (3, 5, 7, 11):
+        for a0 in range(1, p):
+            rows = lift_trace(a0, p, 24)
+            lifted = teichmuller_lift(a0, p, 25)
+            assert tuple([a0] + [r.digit for r in rows]) == lifted.digits
 
 
 def test_lift_trace_rejects_base_two():
@@ -94,10 +99,14 @@ def test_lift_of_2_base_5_long():
 
 
 def test_lift_matches_frobenius_oracle():
-    for p in (3, 5, 7, 11, 13):
-        for a0 in range(1, p):
-            want = frobenius_fixed_point(a0, p, 9)
-            assert teichmuller_lift(a0, p, 9).to_int() == want
+    # N = 17, 64 and 200 take five, six and eight Newton doublings
+    for p in (2, 3, 5, 7, 11, 13, 29, 101):
+        for N in (1, 2, 3, 17, 64, 200):
+            for a0 in range(1, p):
+                want = pow(a0, p ** (N - 1), p**N)  # a0^(p^(N-1)) = w(a0) mod p^N
+                assert teichmuller_lift(a0, p, N).to_int() == want
+                if N <= 17:
+                    assert frobenius_fixed_point(a0, p, N) == want
 
 
 def test_lift_is_root_of_unity():
@@ -242,3 +251,26 @@ def test_depth_base_two_domain():
         depth(from_integer(6, 2, 8))
     with pytest.raises(InsufficientPrecision):
         depth(PAdicInt(2, (1,)))
+
+
+def test_depth_is_the_principal_depth_helper():
+    # reference: v(u - 1) read off the residue, which shares no code with
+    # the helper's u^(p-1) and sign tests
+    rng = random.Random(6)
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(60):
+            N = rng.randrange(2, 14)
+            e = rng.randrange(2 if p == 2 else 1, N + 3)
+            z = 1 + p**e * rng.randrange(-(10**6), 10**6)
+            for u in (from_integer(z, p, N), PAdicInt._of(p, z, N)):
+                want = (u - from_integer(1, p, N)).valuation()
+                assert depth(u).valuation == want == _depth(u, p, N)
+            if z != 1:
+                # an int is exact whatever the precision
+                v = max(k for k in range(80) if (z - 1) % p**k == 0)
+                assert _depth(z, p, N) == ValuationBound.exact(v)
+            # outside the log domain u - 1 is a unit, or twice one at p = 2
+            w = z + (2 if p == 2 else rng.randrange(1, p - 1))
+            d = depth(from_integer(w, p, N), strict=False)
+            assert not d.in_log_domain
+            assert d.valuation == ValuationBound.exact(1 if p == 2 else 0)
