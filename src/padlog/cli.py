@@ -29,12 +29,13 @@ brute-force caps used by the residue search and the pair analyzer.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .errors import AIsOne, NotInRange, PadlogError, UnknownTable, UnsolvableError
-from .padic import PAdicInt
+from .padic import render_power_sum
 from .primroot import all_stable_roots
 from .quotient import power_map_report
 from .residue import _is_prime, group_structure, order_profile
@@ -87,12 +88,6 @@ def _csv(digits):
     return ",".join(str(d) for d in digits)
 
 
-def _power_sum(digits, base):
-    if not digits:
-        return "0"
-    return PAdicInt(base, tuple(digits)).power_sum()
-
-
 def _bracket(factors):
     return "[%s]" % ",".join(str(f) for f in factors)
 
@@ -143,11 +138,12 @@ def _dlog_lift(args):
         "n=%-3d x_n=%-12d order=%d" % (row.n, row.x_n, row.order)
         for row in trace.rows
     ]
+    power_sum = render_power_sum(digits, args.p)
     summary = {
         "digits": digits,
         "failing_level": trace.failing_level,
         "p": args.p,
-        "power_sum": _power_sum(digits, args.p),
+        "power_sum": power_sum,
         "precision": len(digits),
         "verdict": trace.verdict,
         "x": trace.x,
@@ -156,7 +152,7 @@ def _dlog_lift(args):
     if trace.verdict == "solvable":
         if digits:
             human.append("x = %s@%d^%d" % (_csv(digits), args.p, len(digits)))
-            human.append("  = %s" % _power_sum(digits, args.p))
+            human.append("  = %s" % power_sum)
         human.append("x_n -> %d, verdict: solvable" % trace.x)
         code = EX_OK
     else:
@@ -170,18 +166,19 @@ def _dlog_lift(args):
 
 def _dlog_log(args):
     result = solve_log_ratio(args.a, args.b, args.p, args.N)
-    x = result.x
+    digits = result.x.digits
+    power_sum = render_power_sum(digits, args.p)
     record = {
         "depth_a": result.depth_a,
-        "digits": list(x.digits),
+        "digits": list(digits),
         "p": args.p,
-        "power_sum": x.power_sum(),
-        "precision": x.precision,
+        "power_sum": power_sum,
+        "precision": len(digits),
         "verdict": "solvable",
     }
     human = [
-        "x = %s" % x.format_digits(),
-        "  = %s" % x.power_sum(),
+        "x = %s@%d^%d" % (_csv(digits), args.p, len(digits)),
+        "  = %s" % power_sum,
         "depth(a) = %d, guard digits spent = %d"
         % (result.depth_a, result.precision_loss),
     ]
@@ -263,7 +260,7 @@ def cmd_teich(args):
         "p": args.p,
         "precision": args.N,
     }
-    human = [_csv(digits), "= %s" % _power_sum(digits, args.p)]
+    human = [_csv(digits), "= %s" % render_power_sum(digits, args.p)]
     _emit(args, [record], human)
     return EX_OK
 
@@ -455,7 +452,11 @@ def cmd_tables(args):
 # parser
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every call in
+    the process: parsing leaves it unchanged, and building it costs far
+    more than a small dlog."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

@@ -29,14 +29,78 @@ from .errors import (
 from .residue import _factorization, _is_prime, _vp
 
 
+_LEAF_DIGITS = 32  # up to this many digits, one small step per digit is faster
+
+
 def _digits_simple(value, base, precision):
-    """Least-significant-first digits of value mod base**precision."""
+    """Least-significant-first digits of value mod base**precision.
+
+    Up to _LEAF_DIGITS digits are peeled one at a time; longer values are
+    split by divide and conquer (Brent).
+    """
     value %= base**precision
+    if precision > _LEAF_DIGITS:
+        return _split_digits(value, base, precision)
     out = []
     for _ in range(precision):
         out.append(value % base)
         value //= base
     return tuple(out)
+
+
+def _split_digits(value, base, precision):
+    """Digits of value < base^precision: split by base^h for the largest
+    power of two h below the digit count, so every division is between
+    balanced operands; the powers base^(2^i) are squared once per call."""
+    powers = [base]  # powers[i] = base^(2^i)
+    while 2 ** len(powers) < precision:
+        powers.append(powers[-1] ** 2)
+    out = []
+
+    def split(v, n):  # appends exactly n digits of v < base^n
+        if n <= _LEAF_DIGITS:
+            out.extend(_digits_simple(v, base, n))
+            return
+        i = (n - 1).bit_length() - 1  # 2^i < n <= 2^(i+1)
+        high, low = divmod(v, powers[i])
+        split(low, 1 << i)
+        split(high, n - (1 << i))
+
+    split(value, precision)
+    return tuple(out)
+
+
+def _from_digits(digits, base):
+    """sum d_i base^i: Horner's rule on blocks of _LEAF_DIGITS digits, then
+    neighbouring blocks merged pairwise, so the multiplies are balanced."""
+    values = []
+    for start in range(0, len(digits), _LEAF_DIGITS):
+        block = 0
+        for d in reversed(digits[start : start + _LEAF_DIGITS]):
+            block = block * base + d
+        values.append(block)
+    scale = base**_LEAF_DIGITS
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(0)
+        values = [lo + hi * scale for lo, hi in zip(values[::2], values[1::2])]
+        scale *= scale
+    return values[0]
+
+
+def render_power_sum(digits, base):
+    """Human form of least-significant-first digits, mirroring handwritten
+    expansions: ``1 + 2 + 2^3``; no digits, or only zeros, give ``0``."""
+    terms = []
+    for i, d in enumerate(digits):
+        if d == 0:
+            continue
+        if i == 0:
+            terms.append(str(d))
+        else:
+            pw = "%d^%d" % (base, i) if i > 1 else str(base)
+            terms.append(pw if d == 1 else "%d*%s" % (d, pw))
+    return " + ".join(terms) if terms else "0"
 
 
 class ValuationBound:
@@ -111,17 +175,15 @@ class PAdicInt:
     def __init__(self, base, digits, _int_value=None):
         if not isinstance(base, int) or base < 2:
             raise ValueError("base must be an integer >= 2")
-        digits = tuple(int(d) for d in digits)
+        digits = tuple(map(int, digits))
         if len(digits) < 1:
             raise ValueError("at least one digit is required")
-        residue = 0
-        for d in reversed(digits):
-            if not 0 <= d < base:
-                raise ValueError("digit %d out of range for base %d" % (d, base))
-            residue = residue * base + d
+        if min(digits) < 0 or max(digits) >= base:
+            d = next(d for d in reversed(digits) if not 0 <= d < base)
+            raise ValueError("digit %d out of range for base %d" % (d, base))
         self.base = base
         self.precision = len(digits)
-        self.residue = residue
+        self.residue = _from_digits(digits, base)
         # exact integer value when this expansion came from a known integer;
         # lets us answer "is this literally 0/1" despite truncation
         self._int_value = _int_value
@@ -292,16 +354,7 @@ class PAdicInt:
 
     def power_sum(self):
         """Human form mirroring handwritten expansions: ``1 + 2 + 2^3``."""
-        terms = []
-        for i, d in enumerate(self.digits):
-            if d == 0:
-                continue
-            if i == 0:
-                terms.append(str(d))
-            else:
-                pw = "%d^%d" % (self.base, i) if i > 1 else str(self.base)
-                terms.append(pw if d == 1 else "%d*%s" % (d, pw))
-        return " + ".join(terms) if terms else "0"
+        return render_power_sum(self.digits, self.base)
 
     def __repr__(self):
         return "PAdicInt(%s)" % self.format_digits()

@@ -1,12 +1,21 @@
-"""p-adic exponential and logarithm by exact integer series.
+"""p-adic exponential and logarithm by exact integer arithmetic.
 
 exp converges on values divisible by p (by 4 when p = 2); log converges on
 units congruent to 1 mod p (mod 4 when p = 2), and the two are mutually
-inverse isomorphisms between those regions.  All series are summed in exact
-integer arithmetic: each term p^a * U^n / m with m coprime to p is realized
-as p^a * U^n * m^(-1) modulo a guard power of p chosen large enough that
-the divisions are exact, and the tail is cut only once every remaining term
-is divisible by p^K for the working precision K.
+inverse isometries between those regions.  Both results are exact modulo
+p^K for the working precision K; they depend only on the input mod p^K.
+
+log u is taken as p^(-k) log(u^(p^k)) (Satoh, Skjernaa and Taguchi):
+raising u to the p^k-th power at K + k digits deepens u - 1 by k, so the
+series needs about (K + k) / (c + k) terms instead of K / c, where
+c = v(u - 1).  The power costs about k log2(p) squarings, so
+k = sqrt(K / bits(p)) balances the two.  The terms w^n / n are summed as
+one running fraction whose denominator, the product of the p-free parts
+of n, is inverted once per series.
+
+exp x is the Newton inverse of log: y <- y (1 + x - log y), doubling the
+correct digits each step.  Since log is an isometry, the final check
+log y = x mod p^K proves y = exp x mod p^K.
 """
 
 from __future__ import annotations
@@ -14,7 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InsufficientPrecision, NotPrincipalUnit
+from .errors import (
+    DomainError,
+    InsufficientPrecision,
+    InternalInvariantError,
+    NotPrincipalUnit,
+)
 from .padic import PAdicInt
 from .residue import _vp
 
@@ -30,9 +44,9 @@ def factorial_valuation(n, p):
 
 
 def padic_exp(x, precision=None):
-    """Sum of x^n / n! in the p-adic integers.
+    """The p-adic exponential, sum of x^n / n!.
 
-    Needs v(x) >= 1, and >= 2 when p = 2, or the terms never shrink.
+    Needs v(x) >= 1, and >= 2 when p = 2, or the series diverges.
     The result carries the precision of x (or the explicit override,
     if smaller).
     """
@@ -54,31 +68,19 @@ def padic_exp(x, precision=None):
         raise DomainError(
             "exp needs v(x) >= %d at p = %d; got %d" % (min_v, p, v)
         )
-    U = X // p**v  # x = p^v * U with U a unit
-    n_stop = math.ceil(K * (p - 1) / (v * (p - 1) - 1)) + 1
-    guard = K + factorial_valuation(n_stop, p)
-    modulus = p**guard
-    total = 0
-    u_pow = 1  # U^n mod modulus
-    # n! = p^f * m with m a unit; m^(-1) mod modulus is carried along, since
-    # inverting the small factor n / p^k is far cheaper than inverting m
-    f, m_inv = 0, 1
-    for n in range(n_stop):
-        if n:
-            k = _vp(n, p)
-            f += k
-            m_inv = m_inv * pow(n // p**k, -1, modulus) % modulus
-        exponent = n * v - f
-        if exponent < 0:
-            raise DomainError("term %d has negative valuation" % n)
-        if exponent < K:
-            total = (total + pow(p, exponent, modulus) * u_pow * m_inv) % modulus
-        u_pow = u_pow * U % modulus
-    return PAdicInt._of(p, total, K)
+    # y = 1 is exp x mod p^v; a step from m right digits gives 2m (2m - 1
+    # at p = 2, where e^2 / 2 loses one)
+    y, m = 1, v
+    while m < K:
+        m = min(2 * m - (p == 2), K)
+        y = y * (1 + X - _log_mod(y, p, m)) % p**m
+    if _log_mod(y, p, K) != X:
+        raise InternalInvariantError("exp failed its certificate log y = x")
+    return PAdicInt._of(p, y, K)
 
 
 def padic_log(u, precision=None):
-    """Sum of -(-1)^n (u - 1)^n / n, the p-adic logarithm.
+    """The p-adic logarithm, sum of -(-1)^n (u - 1)^n / n.
 
     Needs u = 1 mod p, and mod 4 when p = 2: exactly the region where the
     series converges and log is injective.  Exact input 1 gives exact 0.
@@ -98,32 +100,40 @@ def padic_log(u, precision=None):
         )
     if u._int_value == 1:
         return PAdicInt.from_integer(0, p, K)
-    w = (u.residue - 1) % p**K
+    # when u - 1 is invisible at this precision, so is log u
+    return PAdicInt._of(p, _log_mod(u.residue, p, K), K)
+
+
+def _log_mod(u, p, K):
+    """log u mod p^K for an integer u = 1 mod p (mod 4 when p = 2)."""
+    if (u - 1) % (4 if p == 2 else p):
+        # outside the region the series diverges, which the p^k power could hide
+        raise InternalInvariantError("log of a unit that is not principal")
+    k = math.isqrt(K // p.bit_length())
+    top = K + k
+    w = (pow(u, p**k, p**top) - 1) % p**top  # k deeper than u - 1
     if w == 0:
-        # u - 1 is invisible at this precision, so log is too
-        return PAdicInt._of(p, 0, K)
+        return 0
     c = _vp(w, p)
-    W = w // p**c  # u - 1 = p^c * W
-    n_stop = 1
-    while n_stop * c - _floor_log(n_stop, p) < K:
+    n_stop = 1  # every term w^n / n with n >= n_stop vanishes mod p^top
+    while n_stop * c - _floor_log(n_stop, p) < top:
         n_stop += 1
-    guard = K + _floor_log(n_stop, p) + 1
-    modulus = p**guard
-    total = 0
-    w_pow = 1  # W^n mod modulus, maintained incrementally
-    for n in range(1, n_stop + 1):
-        w_pow = w_pow * W % modulus
+    # terms are divided by up to p^guard, so powers of w carry guard extra digits
+    guard = _floor_log(n_stop, p)
+    modulus = p ** (top + guard)
+    # the partial sum is num / den, den the product of the p-free parts m
+    # of n: a few bits per term, so neither is reduced inside the loop
+    num, den = 0, 1
+    w_pow = 1
+    for n in range(1, n_stop):
+        w_pow = w_pow * w % modulus
         vp = _vp(n, p)
-        reduced = n // p**vp
-        exponent = n * c - vp
-        if exponent >= K:
-            continue
-        term = pow(p, exponent, modulus) * w_pow * pow(reduced, -1, modulus) % modulus
-        if n % 2 == 1:
-            total = (total + term) % modulus
-        else:
-            total = (total - term) % modulus
-    return PAdicInt._of(p, total, K)
+        m = n // p**vp
+        term = w_pow // p**vp
+        num = num * m + (term if n % 2 else -term) * den
+        den *= m
+    total = num * pow(den, -1, modulus) % p**top
+    return total // p**k
 
 
 def _floor_log(n, p):

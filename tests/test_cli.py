@@ -13,7 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from padlog.cli import EX_DOMAIN, EX_OK, EX_UNSOLVABLE, EX_USAGE, TABLES, main
+from padlog.cli import (
+    EX_DOMAIN,
+    EX_OK,
+    EX_UNSOLVABLE,
+    EX_USAGE,
+    TABLES,
+    build_parser,
+    main,
+)
 from padlog.padic import PAdicInt, parse_padic
 from padlog.solver import check_existence
 from padlog.teichmuller import teichmuller_lift
@@ -299,6 +307,32 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "[2,2]"
+
+
+def test_one_parser_serves_many_calls_without_leaking_state(capsys):
+    # one process, one parser: each call must print and exit exactly as a
+    # fresh process does, so no flag of an earlier call shows in a later one
+    runs = [
+        ["dlog", "-p", "5", "-a", "6", "-b", "11", "-N", "7",
+         "--method", "units", "--format", "json"],
+        ["tables", "neg2-pow-3-mod-5n"],
+        ["dlog", "-p", "5", "-a", "2"],
+        ["dlog", "-p", "5", "-a", "2", "-b", "3"],
+    ]
+    assert build_parser() is build_parser()
+    in_process = [run_cli(argv, capsys) for argv in runs]
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padlog.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [EX_OK, EX_OK, EX_USAGE, EX_OK]
+    assert "required: -b" in fresh[2][2]
 
 
 @pytest.mark.parametrize("fmt", ["json", "human"])

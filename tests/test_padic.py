@@ -22,9 +22,11 @@ from padlog.errors import (
 from padlog.padic import (
     PAdicInt,
     ValuationBound,
+    _digits_simple,
     composite_valuation,
     from_integer,
     parse_padic,
+    render_power_sum,
 )
 
 
@@ -415,3 +417,53 @@ def test_power_sum_rendering():
     assert from_integer(11, 2, 6).power_sum() == "1 + 2 + 2^3"
     assert from_integer(0, 2, 4).power_sum() == "0"
     assert from_integer(2 * 25, 5, 4).power_sum() == "2*5^2"
+    # the CLI renders digit lists directly, including the empty list
+    assert render_power_sum((1, 1, 0, 1), 2) == "1 + 2 + 2^3"
+    assert render_power_sum([], 7) == "0"
+
+
+# ---------------------------------------------------------------------------
+# radix conversion against the one-digit-at-a-time loop
+
+
+def naive_digits(value, base, n):
+    out = []
+    for _ in range(n):
+        out.append(value % base)
+        value //= base
+    return tuple(out)
+
+
+def naive_residue(digits, base):
+    residue = 0
+    for d in reversed(digits):
+        residue = residue * base + d
+    return residue
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1000, 4097])
+@pytest.mark.parametrize("base", [2, 3, 7, 101])
+def test_radix_conversion_matches_naive_loop(base, n):
+    rng = random.Random(base * 10007 + n)
+    m = base**n
+    # random values, the extremes, and values with long runs of zeros and
+    # top digits at the split points
+    values = [rng.randrange(m) for _ in range(3)]
+    values += [0, 1, m - 1, base ** (n // 2), m - base ** (n // 3)]
+    for value in values:
+        digits = _digits_simple(value, base, n)
+        assert digits == naive_digits(value, base, n)
+        assert len(digits) == n
+        x = PAdicInt(base, digits)
+        assert x.residue == naive_residue(digits, base) == value
+        assert x.digits == digits
+    # values beyond base^n and negative values are reduced first
+    assert _digits_simple(-1, base, n) == (base - 1,) * n
+    assert _digits_simple(m + 5, base, n) == naive_digits(5, base, n)
+
+
+def test_out_of_range_digit_message_names_the_top_offender():
+    with pytest.raises(ValueError, match="digit 9 out of range for base 7"):
+        PAdicInt(7, (8, 0, 9, 1))
+    with pytest.raises(ValueError, match="digit -1 out of range"):
+        PAdicInt(7, (-1, 0, 0))

@@ -12,12 +12,16 @@ from fractions import Fraction
 
 import pytest
 
+from padlog import translog
 from padlog.errors import (
     DomainError,
     InsufficientPrecision,
+    InternalInvariantError,
+    NotPrime,
     NotPrincipalUnit,
 )
-from padlog.padic import PAdicInt, from_integer
+from padlog.padic import PAdicInt, ValuationBound, from_integer
+from padlog.residue import _vp
 from padlog.translog import (
     PrincipalUnit,
     as_principal,
@@ -55,6 +59,46 @@ def log_oracle(X, p, K, terms=None):
     for n in range(1, terms):
         s += (-1) ** (n + 1) * w**n / n
     return rational_mod(s, p, K)
+
+
+def log_series(u, p, K):
+    """The plain log series mod p^K, one term and one inverse at a time:
+    the reference for the p^k-reduced kernel.  Needs u = 1 mod p (mod 4
+    at p = 2)."""
+    guard = K.bit_length()  # n <= K + guard < 2^(guard + 1): v_p(n) <= guard
+    modulus = p ** (K + guard)
+    w = (u - 1) % modulus
+    if w % p**K == 0:
+        return 0
+    c = _vp(w, p)
+    total, w_pow = 0, 1
+    for n in range(1, (K + guard) // c + 1):  # later terms vanish mod p^K
+        w_pow = w_pow * w % modulus
+        e = _vp(n, p)
+        term = w_pow // p**e * pow(n // p**e, -1, p**K)
+        total += term if n % 2 else -term
+    return total % p**K
+
+
+def exp_series(x, p, K):
+    """The plain exp series mod p^K, carrying n! as p^f times a unit.
+    Needs v(x) >= 1 (>= 2 at p = 2)."""
+    x %= p**K
+    if x == 0:
+        return 1
+    v = _vp(x, p)
+    # v_p(n!) <= n / (p - 1), so term n vanishes once n (v - 1/(p-1)) >= K
+    n_stop = K * (p - 1) // (v * (p - 1) - 1) + 2
+    modulus = p ** (K + factorial_valuation(n_stop, p))
+    total, x_pow, f, unit_inv = 0, 1, 0, 1
+    for n in range(n_stop):
+        if n:
+            x_pow = x_pow * x % modulus
+            e = _vp(n, p)
+            f += e
+            unit_inv = unit_inv * pow(n // p**e, -1, p**K) % p**K
+        total += x_pow // p**f * unit_inv
+    return total % p**K
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +207,111 @@ def test_log_domain_errors():
         padic_log(from_integer(3, 2, 8))  # 3 mod 4: outside the region
     with pytest.raises(InsufficientPrecision):
         padic_log(PAdicInt(2, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels against the plain series
+
+KERNEL_PRIMES = (2, 3, 5, 7, 11, 101)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 17, 200, 1000])
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernels_match_plain_series(p, K):
+    rng = random.Random(p * 1009 + K)
+    min_v = 2 if p == 2 else 1
+    for depth in range(min_v, 5):
+        unit = rng.randrange(1, p ** (K + 8))
+        unit += unit % p == 0  # a unit: p does not divide it
+        u, x = 1 + p**depth * unit, p**depth * unit
+        want_log, want_exp = log_series(u, p, K), exp_series(x, p, K)
+        # exact input at K digits, exact and truncated input carrying six
+        # more digits than the precision asked for
+        logs = [
+            padic_log(from_integer(u, p, K + 6), precision=K),
+            padic_log(PAdicInt._of(p, u, K + 6), precision=K),
+        ]
+        exps = [
+            padic_exp(from_integer(x, p, K)),
+            padic_exp(from_integer(x, p, K + 6), precision=K),
+            padic_exp(PAdicInt._of(p, x, K + 6), precision=K),
+        ]
+        if not (p == 2 and K == 1):  # one digit cannot show u = 1 mod 4
+            logs.append(padic_log(from_integer(u, p, K)))
+        for got in logs:
+            assert (got.residue, got.precision) == (want_log, K), (p, K, depth)
+        for got in exps:
+            assert (got.residue, got.precision) == (want_exp, K), (p, K, depth)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_exactly_zero_versus_zero_to_working_precision(p):
+    K = 6
+    one = padic_exp(from_integer(0, p, K))
+    assert one.residue == 1 and one.with_precision(K + 3) == 1
+    zero = padic_log(from_integer(1, p, K))
+    assert zero.residue == 0 and zero.valuation().is_infinite
+    # p^K and 1 + p^K are invisible at K digits, exact or not
+    for x in (from_integer(p**K, p, K + 2), PAdicInt._of(p, p**K, K + 2)):
+        out = padic_exp(x, precision=K)
+        assert (out.residue, out.precision) == (1, K)
+        with pytest.raises(InsufficientPrecision):
+            out.with_precision(K + 1)
+    for u in (from_integer(1 + p**K, p, K + 2), PAdicInt._of(p, 1 + p**K, K + 2)):
+        out = padic_log(u, precision=K)
+        assert (out.residue, out.precision) == (0, K)
+        assert out.valuation() == ValuationBound.at_least(K)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_domain_errors(p):
+    min_v = 2 if p == 2 else 1
+    for x in (1, p ** (min_v - 1)):
+        with pytest.raises(
+            DomainError,
+            match=r"^exp needs v\(x\) >= %d at p = %d; got %d$" % (min_v, p, _vp(x, p)),
+        ):
+            padic_exp(from_integer(x, p, 8))
+    bad = 3 if p == 2 else 2
+    with pytest.raises(
+        NotPrincipalUnit,
+        match="^log needs u = 1 mod %d; got residue %d$" % (p**min_v, bad),
+    ):
+        padic_log(from_integer(bad, p, 8))
+    for kernel, arg in ((padic_exp, p**min_v), (padic_log, 1 + p**min_v)):
+        with pytest.raises(InsufficientPrecision, match="at least one digit"):
+            kernel(from_integer(arg, p, 8), precision=0)
+    with pytest.raises(NotPrime):
+        padic_log(from_integer(1 + 2 * p, 2 * p, 8))
+    with pytest.raises(NotPrime):
+        padic_exp(from_integer(2 * p, 2 * p, 8))
+
+
+def test_log_kernel_refuses_a_unit_that_is_not_principal():
+    # 3 mod 4 squares to 1 mod 8: only the entry check stops a wrong log
+    for u, p in ((2, 5), (3, 2), (7, 2)):
+        with pytest.raises(InternalInvariantError):
+            translog._log_mod(u, p, 100)
+
+
+def test_exp_refuses_a_result_that_fails_its_certificate(monkeypatch):
+    # spoil the top digit of the log in the last Newton step only; the
+    # certificate recomputes log y at full precision and must catch it
+    p, K = 5, 40
+    real = translog._log_mod
+    calls = []
+
+    def spoiled(u, p, m):
+        calls.append(m)
+        out = real(u, p, m)
+        if calls.count(K) == 1 and m == K:  # the last step, not the check
+            out = (out + p ** (K - 1)) % p**K
+        return out
+
+    monkeypatch.setattr(translog, "_log_mod", spoiled)
+    with pytest.raises(InternalInvariantError, match="certificate"):
+        padic_exp(from_integer(10, p, K))
+    assert calls.count(K) == 2
 
 
 # ---------------------------------------------------------------------------
