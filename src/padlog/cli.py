@@ -39,14 +39,9 @@ from .padic import render_power_sum
 from .primroot import all_stable_roots
 from .quotient import power_map_report
 from .residue import _is_prime, group_structure, order_profile
-from .solver import (
-    check_existence,
-    solve_by_lifting,
-    solve_log_ratio,
-    solve_units,
-)
+from .solver import _split, solve_by_lifting, solve_log_ratio, solve_units
 from .special import analyze_pair, cycle_decomposition
-from .teichmuller import _depth, teichmuller_lift
+from .teichmuller import teichmuller_lift
 
 EX_OK = 0
 EX_UNSOLVABLE = 2
@@ -108,13 +103,13 @@ def _climbing_trace(a, b, p, want_digits):
     want_digits + depth(a) pins the digits when level want_digits + 2 does
     not.
     """
-    verdict = check_existence(a, b, p)
+    verdict, _, da, _ = _split(a, b, p, 1)  # ints are exact at any precision
     if verdict.verdict == "unsolvable":
         return solve_by_lifting(a, b, p, verdict.failing_level)
     trace = solve_by_lifting(a, b, p, want_digits + 2)
     if a == -1 or len(trace.digits) >= want_digits:
         return trace
-    return solve_by_lifting(a, b, p, want_digits + _depth(a, p, 1).amount)
+    return solve_by_lifting(a, b, p, want_digits + da.amount)
 
 
 def _lift_records(trace, rows):

@@ -111,7 +111,7 @@ class ValuationBound:
     AT_LEAST = "at-least"
     INFINITE = "infinite"
 
-    __slots__ = ("kind", "amount")
+    __slots__ = ("kind", "amount", "_lo", "_hi")
 
     def __init__(self, kind, amount=None):
         if kind not in (self.EXACT, self.AT_LEAST, self.INFINITE):
@@ -122,6 +122,9 @@ class ValuationBound:
             raise ValueError("valuation amount must be a natural number")
         self.kind = kind
         self.amount = amount
+        # the valuations the bound allows, [_lo, _hi]: [d, d], [N, oo] or [oo, oo]
+        self._lo = math.inf if amount is None else amount
+        self._hi = amount if kind == self.EXACT else math.inf
 
     @classmethod
     def exact(cls, n):
@@ -395,7 +398,7 @@ def parse_padic(text):
         raise ValueError("expected base^precision after '@' in %r" % text)
     base_text, prec_text = base_part.split("^", 1)
     base, precision = int(base_text), int(prec_text)
-    digits = [int(d) for d in digit_part.split(",")]
+    digits = digit_part.split(",")  # PAdicInt maps int over the digit text
     if len(digits) != precision:
         raise ValueError(
             "digit count %d does not match precision %d" % (len(digits), precision)

@@ -20,18 +20,14 @@ from dataclasses import dataclass
 from .errors import DomainError, InternalInvariantError, ModulusTooLarge
 from .primroot import is_primitive_root, stabilize
 from .residue import (
+    CENSUS_LIMIT,
+    FINITE_LEVEL_CAP,
     AbelianStructure,
     _require_prime,
     _vp,
     order_mod,
     structure_from_power_counts,
 )
-
-# Hard ceiling on enumerable levels: p^n above this is not a desk-scale group.
-FINITE_LEVEL_CAP = 10**5
-# Unit-group size up to which the literal per-element census also runs (and
-# is cross-checked against the generator decomposition inside the same call).
-CENSUS_LIMIT = 500
 
 
 @functools.lru_cache(maxsize=4096)

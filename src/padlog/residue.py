@@ -25,14 +25,25 @@ from .errors import (
     NotPrime,
 )
 
+# The package's caps on brute-force work, in one place.  The environment
+# variable PADLOG_MAX_MODULUS, read through _cap, replaces BRUTE_DLOG_CAP and
+# ANALYZE_CAP only; the other three are fixed.
+#: largest p^n that brute_dlog (and so subgroup_contains) enumerates
 BRUTE_DLOG_CAP = 10**7
+#: largest p^n that special.analyze_pair analyzes
+ANALYZE_CAP = 10**6
 #: baby steps one discrete log mod p may tabulate: prime factors of the
 #: order up to about 10^12; a larger one raises ModulusTooLarge
 BSGS_MAX_BABY_STEPS = 2**20
+#: largest p^n at which quotient.verify_cokernel_finite_level works
+FINITE_LEVEL_CAP = 10**5
+#: unit-group size up to which that check also runs the literal per-element
+#: census, cross-checked against the generator decomposition
+CENSUS_LIMIT = 500
 
 
 def _cap(default):
-    """Brute-force modulus cap, overridable via PADLOG_MAX_MODULUS."""
+    """BRUTE_DLOG_CAP or ANALYZE_CAP, unless PADLOG_MAX_MODULUS replaces it."""
     value = os.environ.get("PADLOG_MAX_MODULUS")
     return int(value) if value else default
 

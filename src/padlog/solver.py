@@ -31,6 +31,7 @@ only a truncated ``PAdicInt`` whose digits hide a needed depth comes back
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AIsOne,
@@ -40,7 +41,7 @@ from .errors import (
     UnsolvableError,
     ZeroInput,
 )
-from .padic import PAdicInt, ValuationBound, _digits_simple
+from .padic import PAdicInt, _digits_simple
 from .residue import _dlog_mod_p, _require_prime, _vp, order_mod
 from .teichmuller import _depth
 from .translog import padic_log
@@ -73,8 +74,14 @@ def _classify_nonunit(a, b, p):
 # lifting
 
 
-@dataclass(frozen=True)
-class LiftingRow:
+class LiftingRow(NamedTuple):
+    """One level of a lifting trace.
+
+    A named tuple, since a trace builds one per level: its repr is the
+    dataclass form, and a row compares equal to the plain tuple
+    (n, x_n, order, digit_count).
+    """
+
     n: int
     x_n: int
     order: int
@@ -124,7 +131,7 @@ def solve_by_lifting(a, b, p, n_max):
             a=a, b=b, p=p, rows=(), verdict="unsolvable", failing_level=1
         )
     x = x or order
-    rows = [LiftingRow(n=1, x_n=x, order=order, digit_count=0)]
+    rows = [LiftingRow(1, x, order, 0)]
     pinned = 0  # v_p(order): the level-1 order divides p - 1
     top, m = p**n_max, p
     a_order, a_x = pow(a, order, top), pow(a, x, top)
@@ -147,7 +154,7 @@ def solve_by_lifting(a, b, p, n_max):
             a_order = pow(a_order, p, top)
             order *= p
             pinned += 1
-        rows.append(LiftingRow(n=n, x_n=x, order=order, digit_count=pinned))
+        rows.append(LiftingRow(n, x, order, pinned))
     return LiftingTrace(
         a=a,
         b=b,
@@ -206,64 +213,38 @@ class ExistenceVerdict:
 
 
 def _depth_comparison_verdict(da, db):
-    """The shared depth test: solvable iff depth(a) <= depth(b)."""
+    """The depth theorem: a2^x = b2 is solvable iff depth(a) <= depth(b).
+
+    Each bound is the range of depths it allows, so the verdict is two
+    interval comparisons; the reason is picked once the verdict is known.
+    """
+    if da._hi <= db._lo:
+        if db.is_exact:
+            reason = "depth(a) = %d <= depth(b) = %d" % (da.amount, db.amount)
+        elif not db.is_infinite:
+            reason = "depth(b) exceeds working precision, which already tops depth(a)"
+        elif da.is_infinite:
+            reason = "both principal parts are trivial; torsion alone decides"
+        else:
+            reason = "b's principal part is exactly trivial"
+        return ExistenceVerdict(verdict="solvable", reason=reason)
+    if da._lo > db._hi:
+        if da.is_infinite:
+            reason = "a has trivial principal part but b does not"
+        elif da.is_exact:
+            reason = "depth(a) = %d > depth(b) = %d" % (da.amount, db.amount)
+        else:
+            reason = "depth(a) >= %d > depth(b) = %d" % (da.amount, db.amount)
+        return ExistenceVerdict(
+            verdict="unsolvable", reason=reason, failing_level=db._hi + 1
+        )
     if da.is_infinite:
-        if db.is_infinite:
-            return ExistenceVerdict(
-                verdict="solvable",
-                reason="both principal parts are trivial; torsion alone decides",
-            )
-        if db.is_exact:
-            return ExistenceVerdict(
-                verdict="unsolvable",
-                reason="a has trivial principal part but b does not",
-                failing_level=db.amount + 1,
-            )
-        return ExistenceVerdict(
-            verdict="undetermined",
-            reason="b's principal part vanishes to working precision only",
-        )
-    if da.is_exact:
-        if db.is_infinite:
-            return ExistenceVerdict(
-                verdict="solvable", reason="b's principal part is exactly trivial"
-            )
-        if db.is_exact:
-            if da.amount <= db.amount:
-                return ExistenceVerdict(
-                    verdict="solvable",
-                    reason="depth(a) = %d <= depth(b) = %d" % (da.amount, db.amount),
-                )
-            return ExistenceVerdict(
-                verdict="unsolvable",
-                reason="depth(a) = %d > depth(b) = %d" % (da.amount, db.amount),
-                failing_level=db.amount + 1,
-            )
-        # db is a truncation bound: true depth(b) >= bound >= visible digits
-        if da.amount <= db.amount:
-            return ExistenceVerdict(
-                verdict="solvable",
-                reason="depth(b) exceeds working precision, which already tops depth(a)",
-            )
-        return ExistenceVerdict(
-            verdict="undetermined",
-            reason="depth(b) is hidden beyond working precision",
-        )
-    # da is a truncation bound: true depth(a) >= bound
-    if db.is_infinite:
-        return ExistenceVerdict(
-            verdict="solvable", reason="b's principal part is exactly trivial"
-        )
-    if db.is_exact and db.amount < da.amount:
-        return ExistenceVerdict(
-            verdict="unsolvable",
-            reason="depth(a) >= %d > depth(b) = %d" % (da.amount, db.amount),
-            failing_level=db.amount + 1,
-        )
-    return ExistenceVerdict(
-        verdict="undetermined",
-        reason="depth(a) is hidden beyond working precision",
-    )
+        reason = "b's principal part vanishes to working precision only"
+    elif da.is_exact:
+        reason = "depth(b) is hidden beyond working precision"
+    else:
+        reason = "depth(a) is hidden beyond working precision"
+    return ExistenceVerdict(verdict="undetermined", reason=reason)
 
 
 def _value(u):
@@ -274,14 +255,15 @@ def _value(u):
 def _exponent_is_unit(da, db):
     """Is x with a2^x = b2 a p-adic unit?  v_p(x) = depth(b) - depth(a).
 
-    True for pure torsion (da infinite), where a unit residue will do;
-    None when truncation hides the answer.
+    True when both ranges of depth are the same single point (pure torsion,
+    both infinite, included: a unit residue will do), False when they are
+    disjoint, None when truncation leaves them overlapping.
     """
-    if da.is_infinite:
+    if da._hi <= db._lo and db._hi <= da._lo:
         return True
-    if not da.is_exact or db == ValuationBound.at_least(da.amount):
-        return None
-    return db == da
+    if da._hi < db._lo or db._hi < da._lo:
+        return False
+    return None
 
 
 def _split(a, b, p, precision):

@@ -18,16 +18,13 @@ from .errors import (
     NotCoprime,
 )
 from .residue import (
+    ANALYZE_CAP,
     _cap,
     _require_prime,
     brute_dlog,
     group_structure,
     order_mod,
-    subgroup_contains,
 )
-
-# Default ceiling on p^n for pair analysis (override via PADLOG_MAX_MODULUS).
-ANALYZE_CAP = 10**6
 
 # failed-condition codes, in the order the definition lists them
 COPRIMALITY = "coprimality"
@@ -107,8 +104,9 @@ def analyze_pair(a, b, p, n):
         )
     ord_a = order_mod(a, modulus)
     ord_b = order_mod(b, modulus)
-    same_subgroup = ord_a == ord_b and subgroup_contains(a, b, p, n)
     x_o = brute_dlog(a, b, p, n)
+    # <b> = <a> exactly when b is a power of a of the same order
+    same_subgroup = ord_a == ord_b and x_o is not None
     max_possible = _max_possible_order(ord_a)
     if not same_subgroup:
         x_order = None

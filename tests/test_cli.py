@@ -5,6 +5,8 @@ Covers the exit-code contract (0 solvable / 2 unsolvable / 64 usage /
 of json-lines output, and the digit round-trip guarantee.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlog.cli import (
     EX_DOMAIN,
@@ -405,3 +409,60 @@ def test_log_method_matches_lift_digits(capsys):
     digits_log = json_rows(out_log)[0]["digits"]
     digits_lift = json_rows(out_lift)[-1]["digits"]
     assert digits_log == digits_lift
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every subcommand over bounded integer flags
+
+FUZZ_P = (-7, 0, 1, 2, 3, 4, 5, 7, 9, 11, 13, 97, 10007)
+
+
+@st.composite
+def fuzz_argv(draw):
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    def flag(*option):
+        return list(option) if draw(st.booleans()) else []
+
+    p = str(draw(st.sampled_from(FUZZ_P)))
+    command = draw(st.sampled_from(
+        ("dlog", "teich", "proot", "structure", "quotient", "special", "tables")
+    ))
+    if command == "dlog":
+        method = draw(st.sampled_from(("lift", "log", "units", "auto")))
+        argv = ["-p", p, "-a", num(-50, 50), "-b", num(-50, 50), "-N", num(-2, 40),
+                "--method", method]
+    elif command == "teich":
+        argv = ["-p", p, "-a0", num(-50, 50), "-N", num(-2, 40)]
+    elif command == "proot":
+        argv = ["-p", p] + flag("--through", num(-2, 60)) + flag("--full")
+    elif command == "structure":
+        argv = [num(-2, 5000)]
+    elif command == "quotient":
+        argv = ["-p", p, "-k", num(-2, 50)]
+    elif command == "special":
+        argv = ["-a", num(-50, 50), "-b", num(-50, 50), "-p", p, "-n", num(-2, 6)]
+        argv += flag("--cycles")
+    else:
+        argv = [draw(st.sampled_from(TABLE_NAMES + ["no-such-table"]))]
+    fmt = draw(st.sampled_from(("human", "json")))
+    return [command, *argv, "--format", fmt]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_flags_exit_cleanly(argv):
+    # only argparse may leave main() by SystemExit; anything else escaping
+    # fails the test, and so does a traceback or an unparseable JSON line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 64, 65), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if argv[-1] == "json":
+        for line in out.getvalue().splitlines():
+            json.loads(line)

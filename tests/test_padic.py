@@ -413,6 +413,14 @@ def test_format_and_parse_roundtrip():
         assert y == x and y.digits == x.digits and y.precision == len(ds)
 
 
+def test_parse_refuses_malformed_text():
+    for text in ("5,x,3,2@7^4", "5,,3,2@7^4", "5,5,3@7^4", "5,5,3,9@7^4", "5,5@7", "5,5",
+                 "1.5,2@7^2", "1,2@x^2", "1,2@7^y"):
+        with pytest.raises(ValueError):
+            parse_padic(text)
+    assert parse_padic(" 5, 5,3 ,2@7^4 ").digits == (5, 5, 3, 2)
+
+
 def test_power_sum_rendering():
     assert from_integer(11, 2, 6).power_sum() == "1 + 2 + 2^3"
     assert from_integer(0, 2, 4).power_sum() == "0"

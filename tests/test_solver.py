@@ -20,9 +20,11 @@ from padlog.errors import (
     UnsolvableError,
     ZeroInput,
 )
-from padlog.padic import PAdicInt, from_integer
+from padlog.padic import PAdicInt, ValuationBound, from_integer
 from padlog.residue import brute_dlog, order_mod
 from padlog.solver import (
+    _depth_comparison_verdict,
+    _exponent_is_unit,
     check_existence,
     convergence_certificate,
     solution_is_unit,
@@ -362,6 +364,59 @@ def test_existence_nonunit_classifier():
         check_existence(3, 10, 5)
     with pytest.raises(ZeroInput):
         check_existence(0, 3, 5)
+
+
+# ---------------------------------------------------------------------------
+# the depth comparison on hand-built bounds
+
+INF = ValuationBound.infinite()
+EX = ValuationBound.exact
+AL = ValuationBound.at_least
+TOPS = "depth(b) exceeds working precision, which already tops depth(a)"
+A_HIDDEN = "depth(a) is hidden beyond working precision"
+
+# (depth(a), depth(b), verdict, reason, failing level): all nine pairs of
+# bound kinds, on both sides of every comparison between their amounts
+DEPTH_TABLE = [
+    (INF, INF, "solvable", "both principal parts are trivial; torsion alone decides", None),
+    (INF, EX(3), "unsolvable", "a has trivial principal part but b does not", 4),
+    (INF, AL(5), "undetermined", "b's principal part vanishes to working precision only", None),
+    (EX(2), INF, "solvable", "b's principal part is exactly trivial", None),
+    (EX(2), EX(2), "solvable", "depth(a) = 2 <= depth(b) = 2", None),
+    (EX(2), EX(5), "solvable", "depth(a) = 2 <= depth(b) = 5", None),
+    (EX(3), EX(2), "unsolvable", "depth(a) = 3 > depth(b) = 2", 3),
+    (EX(3), AL(3), "solvable", TOPS, None),
+    (EX(3), AL(6), "solvable", TOPS, None),
+    (EX(4), AL(3), "undetermined", "depth(b) is hidden beyond working precision", None),
+    (AL(3), INF, "solvable", "b's principal part is exactly trivial", None),
+    (AL(3), EX(2), "unsolvable", "depth(a) >= 3 > depth(b) = 2", 3),
+    (AL(3), EX(3), "undetermined", A_HIDDEN, None),
+    (AL(3), EX(7), "undetermined", A_HIDDEN, None),
+    (AL(3), AL(1), "undetermined", A_HIDDEN, None),
+    (AL(3), AL(3), "undetermined", A_HIDDEN, None),
+    (AL(3), AL(8), "undetermined", A_HIDDEN, None),
+]
+
+
+@pytest.mark.parametrize("da, db, verdict, reason, level", DEPTH_TABLE)
+def test_depth_comparison_table(da, db, verdict, reason, level):
+    v = _depth_comparison_verdict(da, db)
+    assert (v.verdict, v.reason, v.failing_level) == (verdict, reason, level)
+
+
+def test_exponent_is_unit_on_solvable_depths():
+    # v_p(x) = depth(b) - depth(a), asked only once depth(a) <= depth(b)
+    for da, db, want in (
+        (INF, INF, True),
+        (EX(2), EX(2), True),
+        (EX(2), EX(5), False),
+        (EX(2), INF, False),
+        (EX(3), AL(3), None),
+        (EX(3), AL(6), False),
+        (AL(3), INF, None),
+    ):
+        assert _depth_comparison_verdict(da, db).verdict == "solvable"
+        assert _exponent_is_unit(da, db) is want, (da, db)
 
 
 # ---------------------------------------------------------------------------
