@@ -40,8 +40,12 @@ def is_primitive_root(r, p, n=1):
 
 
 def is_stable_root(r, p):
-    """Generates mod p AND mod p^2 (hence mod all higher powers)."""
-    return is_primitive_root(r, p) and is_primitive_root(r, p, 2)
+    """Generates mod p AND mod p^2 (hence mod all higher powers).
+
+    A generator r mod p has order p - 1 or p(p - 1) mod p^2, so it generates
+    mod p^2 exactly when r^(p-1) != 1 mod p^2: one power decides.
+    """
+    return is_primitive_root(r, p) and pow(r, p - 1, p * p) != 1
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,7 @@ def stabilize(r, p, force_multiplier=False):
     if force_multiplier:
         candidate = r * (1 + p) % p**2
         tag = "multiplied-by-1+p"
-    elif is_primitive_root(r, p, 2):
+    elif pow(r, p - 1, p * p) != 1:  # r generates mod p: see is_stable_root
         return StableRoot(p=p, root=r, derivation="direct", source=r)
     elif p % 4 == 1:
         candidate = (-r) % p
@@ -196,24 +200,13 @@ def all_stable_roots(p, full=False):
     default reproduces the canonical table rows: for p = 3 (mod 4) and for
     p = 5 that is the same full list, while for larger p = 1 (mod 4) each
     mirror pair {r, p - r} of generators is represented once, by its small
-    member r <= (p - 1)/2, falling back to p - r when r is unstable.
+    member r <= (p - 1)/2, or by its repair p - r from :func:`stabilize` when
+    r is unstable.
     """
     _require_prime(p)
     if p == 2:
         return [1]
     if full or p % 4 == 3 or p == 5:
         return [r for r in range(2, p) if is_stable_root(r, p)]
-    out = []
-    for r in range(2, (p - 1) // 2 + 1):
-        if not is_primitive_root(r, p):
-            continue
-        if is_primitive_root(r, p, 2):
-            out.append(r)
-        else:
-            mirror = p - r
-            if not is_stable_root(mirror, p):
-                raise InternalInvariantError(
-                    "mirror %d of unstable generator %d is not stable" % (mirror, r)
-                )
-            out.append(mirror)
-    return sorted(out)
+    small = range(2, (p - 1) // 2 + 1)
+    return sorted(stabilize(r, p).root for r in small if is_primitive_root(r, p))

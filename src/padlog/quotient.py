@@ -23,26 +23,12 @@ from .residue import (
     CENSUS_LIMIT,
     FINITE_LEVEL_CAP,
     AbelianStructure,
+    _finite,
     _require_prime,
     _vp,
     order_mod,
     structure_from_power_counts,
 )
-
-
-@functools.lru_cache(maxsize=4096)
-def _finite(*orders):
-    """Finite abelian group from cyclic factor sizes, dropping trivial ones.
-
-    Memoized: the groups are immutable and the same few factor lists recur
-    across every check.
-    """
-    factors = tuple(f for f in orders if f > 1)
-    group = AbelianStructure(factors)
-    invariants = group.invariant_factors()
-    if len(invariants) <= 1:
-        return AbelianStructure(factors, cyclic_order=invariants[0] if invariants else 1)
-    return group
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
 # The package's caps on brute-force work, in one place.  The environment
 # variable PADLOG_MAX_MODULUS, read through _cap, replaces BRUTE_DLOG_CAP and
 # ANALYZE_CAP only; the other three are fixed.
-#: largest p^n that brute_dlog (and so subgroup_contains) enumerates
+#: largest p^n that brute_dlog enumerates
 BRUTE_DLOG_CAP = 10**7
 #: largest p^n that special.analyze_pair analyzes
 ANALYZE_CAP = 10**6
@@ -139,6 +139,21 @@ class AbelianStructure:
     @classmethod
     def trivial(cls):
         return cls(factors=(), cyclic_order=1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _finite(*orders):
+    """Finite abelian group from cyclic factor sizes, dropping trivial ones.
+
+    Memoized: the groups are immutable and the same few factor lists recur
+    across every check.
+    """
+    factors = tuple(f for f in orders if f > 1)
+    group = AbelianStructure(factors)
+    invariants = group.invariant_factors()
+    if len(invariants) <= 1:
+        return AbelianStructure(factors, cyclic_order=invariants[0] if invariants else 1)
+    return group
 
 
 def structure_from_power_counts(group_order, count_fn):
@@ -375,39 +390,25 @@ def subgroup_contains(a, b, p, n):
     b %= m
     if math.gcd(a, m) != 1 or math.gcd(b, m) != 1:
         raise NotCoprime("both arguments must be coprime to p")
-    if p != 2 or n <= 2:
+    if p != 2:
         # the whole unit group is cyclic, so membership is an order condition
         return pow(b, order_mod(a, m), m) == 1
-    return brute_dlog(a, b, p, n) is not None
+    # the units mod 2^n are <-1> x U, U = {u = 1 mod 4} cyclic.  b lies in <a>
+    # iff b, or b/a when b = 3 mod 4, lies in the part of <a> inside U: the
+    # one subgroup of U of order ord(a) when a = 1 mod 4, else ord(a)/2
+    s = b if b % 4 == 1 else b * pow(a, -1, m) % m
+    h = order_mod(a, m) if a % 4 == 1 else order_mod(a, m) // 2
+    return s % 4 == 1 and pow(s, h, m) == 1
 
 
 def group_structure(n):
     """Cyclic factor sizes of (Z/nZ)^* assembled prime component by prime
     component: trivial at 2, [2] at 4, [2, 2^(k-2)] at higher 2-powers, and
-    [q-1, q^(k-1)] at odd prime powers."""
+    [q-1, q^(k-1)] at odd prime powers.  Cyclic exactly when that leaves at
+    most one invariant factor."""
     if n < 2:
         raise ValueError("n must be >= 2")
     factors = []
-    fact = dict(_factorization(n))
-    for q in sorted(fact):
-        k = fact[q]
-        if q == 2:
-            if k == 2:
-                factors.append(2)
-            elif k >= 3:
-                factors.extend([2, 2 ** (k - 2)])
-        else:
-            factors.append(q - 1)
-            if k >= 2:
-                factors.append(q ** (k - 1))
-    factors = [f for f in factors if f > 1]
-    cyclic_order = None
-    odd_part = {q: k for q, k in fact.items() if q != 2}
-    two_exp = fact.get(2, 0)
-    is_cyclic = (
-        n in (2, 4)
-        or (len(odd_part) == 1 and two_exp <= 1)
-    )
-    if is_cyclic:
-        cyclic_order = euler_phi(n)
-    return AbelianStructure(factors=tuple(factors), cyclic_order=cyclic_order)
+    for q, k in sorted(_factorization(n)):
+        factors += [2, 2 ** (k - 2)] if q == 2 and k >= 2 else [q - 1, q ** (k - 1)]
+    return _finite(*factors)

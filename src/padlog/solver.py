@@ -393,17 +393,11 @@ def solve_log_ratio(a, b, p, precision):
             % (vb.amount, c),
             failing_level=vb.amount + 1,
         )
-    if not vb.is_exact:
-        # log b is zero to working precision: so is x, to the digits we owe
-        return LogRatioResult(
-            x=PAdicInt._of(p, 0, precision), depth_a=c, precision_loss=c
-        )
-    e_a, u_a = la.unit_factor()
-    e_b, u_b = lb.unit_factor()
-    q = u_b * u_a.invert_unit()
-    shift = e_b - e_a
-    x = PAdicInt._of(p, q.residue * p**shift, precision)
-    return LogRatioResult(x=x, depth_a=c, precision_loss=c)
+    # log a = p^c * unit and p^c divides log b (or log b is 0 to working
+    # precision, and so is x), so one exact division gives x
+    pc = p**c
+    x = lb.residue // pc * pow(la.residue // pc, -1, p**precision)
+    return LogRatioResult(x=PAdicInt._of(p, x, precision), depth_a=c, precision_loss=c)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ def test_is_stable_root_examples():
     assert not is_stable_root(19, 43)
 
 
+def test_is_stable_root_matches_the_full_test_mod_p_squared():
+    # one power r^(p-1) mod p^2 decides what the witness test mod p^2 does,
+    # including on unstable generators such as 14 mod 29 and 19 mod 43
+    for p in sympy.primerange(2, 2000):
+        for r in range(1, p):
+            want = is_primitive_root(r, p) and is_primitive_root(r, p, 2)
+            assert is_stable_root(r, p) == want, (r, p)
+
+
 # ---------------------------------------------------------------------------
 # gauss_search
 
@@ -255,6 +264,22 @@ def test_all_stable_roots_entries_are_stable():
             assert is_stable_root(r, p)
         for r in all_stable_roots(p, full=True):
             assert is_stable_root(r, p)
+
+
+def mirror_table_row(p):
+    """A canonical row for p = 1 (mod 4), p > 5, by the literal rule: each
+    small generator r <= (p - 1)/2 if stable, else its mirror p - r."""
+    out = []
+    for r in range(2, (p - 1) // 2 + 1):
+        if is_primitive_root(r, p):
+            out.append(r if is_primitive_root(r, p, 2) else p - r)
+    return sorted(out)
+
+
+def test_all_stable_roots_matches_the_mirror_rule():
+    for p in sympy.primerange(7, 2000):
+        if p % 4 == 1:
+            assert all_stable_roots(p) == mirror_table_row(p), p
 
 
 def test_all_stable_roots_small_edges():
