@@ -103,7 +103,7 @@ def _climbing_trace(a, b, p, want_digits):
     want_digits + depth(a) pins the digits when level want_digits + 2 does
     not.
     """
-    verdict, _, da, _ = _split(a, b, p, 1)  # ints are exact at any precision
+    verdict, _, da, _ = _split(a, b, p)
     if verdict.verdict == "unsolvable":
         return solve_by_lifting(a, b, p, verdict.failing_level)
     trace = solve_by_lifting(a, b, p, want_digits + 2)
@@ -274,7 +274,8 @@ def cmd_proot(args):
     last = args.through if args.through is not None else args.p
     if last < args.p:
         raise NotInRange("--through must be >= p, got %d < %d" % (last, args.p))
-    primes = (q for q in range(args.p, last + 1) if _is_prime(q))
+    # a single p goes to all_stable_roots, which refuses one that is not prime
+    primes = [args.p] if args.through is None else filter(_is_prime, range(args.p, last + 1))
     records, human = _proot_rows(primes, full=args.full)
     _emit(args, records, human)
     return EX_OK

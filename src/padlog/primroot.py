@@ -3,13 +3,14 @@
 A generator of the units mod p need not generate mod p^2; call those that do
 *stable*.  A stable generator mod p^2 automatically generates mod every
 higher power, so stability is the whole game.  This module finds generators
-by Gauss's order-merging search, repairs unstable ones by a sign trick that
-depends on p mod 4, and reproduces the classical table of canonical stable
-generators for small primes.
+by the witness test or by Gauss's order-merging search, repairs unstable
+ones by a sign trick that depends on p mod 4, and reproduces the classical
+table of canonical stable generators for small primes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,13 +40,20 @@ def is_primitive_root(r, p, n=1):
     return all(pow(r, phi // q, m) != 1 for q in primes)
 
 
-def is_stable_root(r, p):
-    """Generates mod p AND mod p^2 (hence mod all higher powers).
+def _smallest_generator(p):
+    """Smallest generator mod an odd prime p; the witness test is its proof."""
+    return next(r for r in range(2, p) if is_primitive_root(r, p))
 
-    A generator r mod p has order p - 1 or p(p - 1) mod p^2, so it generates
-    mod p^2 exactly when r^(p-1) != 1 mod p^2: one power decides.
-    """
-    return is_primitive_root(r, p) and pow(r, p - 1, p * p) != 1
+
+def _generates_mod_p2(r, p):
+    """A generator r mod p has order p - 1 or p(p - 1) mod p^2, so it
+    generates mod p^2 exactly when r^(p-1) != 1 mod p^2: one power decides."""
+    return pow(r, p - 1, p * p) != 1
+
+
+def is_stable_root(r, p):
+    """Generates mod p AND mod p^2 (hence mod all higher powers)."""
+    return is_primitive_root(r, p) and _generates_mod_p2(r, p)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +161,7 @@ def stabilize(r, p, force_multiplier=False):
     if force_multiplier:
         candidate = r * (1 + p) % p**2
         tag = "multiplied-by-1+p"
-    elif pow(r, p - 1, p * p) != 1:  # r generates mod p: see is_stable_root
+    elif _generates_mod_p2(r, p):
         return StableRoot(p=p, root=r, derivation="direct", source=r)
     elif p % 4 == 1:
         candidate = (-r) % p
@@ -165,8 +173,6 @@ def stabilize(r, p, force_multiplier=False):
         raise NotAPrimitiveRoot(
             "derived candidate %d fails to generate mod %d^2" % (candidate, p)
         )
-    if tag != "multiplied-by-1+p" and not is_primitive_root(candidate, p):
-        raise InternalInvariantError("repair left the level-1 group")
     return StableRoot(p=p, root=candidate, derivation=tag, source=r)
 
 
@@ -206,7 +212,12 @@ def all_stable_roots(p, full=False):
     _require_prime(p)
     if p == 2:
         return [1]
-    if full or p % 4 == 3 or p == 5:
-        return [r for r in range(2, p) if is_stable_root(r, p)]
-    small = range(2, (p - 1) // 2 + 1)
-    return sorted(stabilize(r, p).root for r in small if is_primitive_root(r, p))
+    g = _smallest_generator(p)
+    listed = bytearray(p)  # flags by residue, so no list to sort
+    # the generators mod p are the powers g^k with k prime to p - 1
+    for r in (pow(g, k, p) for k in range(1, p - 1) if math.gcd(k, p - 1) == 1):
+        if full or p % 4 == 3 or p == 5:
+            listed[r] = _generates_mod_p2(r, p)
+        elif 2 * r < p:
+            listed[stabilize(r, p).root] = 1
+    return list(itertools.compress(range(p), listed))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalInvariantError, ModulusTooLarge
-from .primroot import is_primitive_root, stabilize
+from .primroot import _smallest_generator, is_primitive_root, stabilize
 from .residue import (
     CENSUS_LIMIT,
     FINITE_LEVEL_CAP,
@@ -138,19 +138,6 @@ def predicted_finite_cokernel(p, n, k):
 
 
 @functools.lru_cache(maxsize=None)
-def _small_generator(p):
-    """Smallest verified generator of the units mod an odd prime p.
-
-    The search test is the witness test of ``is_primitive_root``, so it
-    doubles as the order verification.
-    """
-    for g in range(2, p):
-        if is_primitive_root(g, p):
-            return g
-    raise InternalInvariantError("the units mod %d yielded no generator" % p)
-
-
-@functools.lru_cache(maxsize=None)
 def _verified_generators(p, n):
     """Independent generators of the units mod p^n with their orders checked.
 
@@ -175,9 +162,9 @@ def _verified_generators(p, n):
             raise InternalInvariantError("<-1> and <3> should intersect trivially")
         return ((modulus - 1, 2), (3, half))
     if n == 1:
-        return ((_small_generator(p), p - 1),)
+        return ((_smallest_generator(p), p - 1),)
     phi = (p - 1) * p ** (n - 1)
-    root = stabilize(_small_generator(p), p).root
+    root = stabilize(_smallest_generator(p), p).root
     if not is_primitive_root(root, p, n):
         raise InternalInvariantError("generator failed its order check mod p^n")
     return ((root, phi),)

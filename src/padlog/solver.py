@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 from .errors import (
     AIsOne,
+    BaseMismatch,
     InsufficientPrecision,
     InternalInvariantError,
     NotAUnit,
@@ -252,6 +253,13 @@ def _value(u):
     return u if isinstance(u, int) else u.to_int()
 
 
+def _require_base(p, *values):
+    """Refuse a PAdicInt over another base; an int fits any."""
+    for u in values:
+        if not isinstance(u, int) and u.base != p:
+            raise BaseMismatch("cannot mix bases %d and %d" % (u.base, p))
+
+
 def _exponent_is_unit(da, db):
     """Is x with a2^x = b2 a p-adic unit?  v_p(x) = depth(b) - depth(a).
 
@@ -266,7 +274,7 @@ def _exponent_is_unit(da, db):
     return None
 
 
-def _split(a, b, p, precision):
+def _split(a, b, p):
     """The decision procedure for a^x = b, read by every route but lifting.
 
     Returns (verdict, m, depth(a), depth(b)): the ExistenceVerdict, the
@@ -275,12 +283,13 @@ def _split(a, b, p, precision):
     ValuationBounds.
     """
     _require_prime(p)
+    _require_base(p, a, b)
     if a == 0 or b == 0:
         raise ZeroInput("0 is not a unit")
     za, zb = _value(a), _value(b)
     if za % p == 0 or zb % p == 0:
         _classify_nonunit(za, zb, p)
-    da, db = _depth(a, p, precision), _depth(b, p, precision)
+    da, db = _depth(a, p), _depth(b, p)
     if p == 2:
         m = 2 if za % 4 == 3 else 1
         if m == 1 and zb % 4 == 3:
@@ -331,7 +340,7 @@ def check_existence(a, b, p, precision=12):
     decided, at any ``precision``; only a truncated PAdicInt whose digits
     hide a needed depth comes back "undetermined".
     """
-    return _split(a, b, p, precision)[0]
+    return _split(a, b, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +378,8 @@ def solve_log_ratio(a, b, p, precision):
     _require_prime(p)
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    da = _depth(a, p, precision)
+    _require_base(p, a, b)
+    da = _depth(a, p)
     c = da.amount if da.is_exact else 0
     wide = precision + c
     a = _at(a, p, wide)
@@ -444,7 +454,9 @@ def solve_units(a, b, p, precision=12):
     mod the torsion modulus and the principal exponent log(b2) / log(a2)
     mod p^precision.
     """
-    verdict, m, da, db = _split(a, b, p, precision)
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    verdict, m, da, db = _split(a, b, p)
     if (a if isinstance(a, int) else a._int_value) == 1:
         raise AIsOne("powers of 1 cannot reach anything but 1")
     if verdict.verdict == "unsolvable":
@@ -511,9 +523,10 @@ def solution_is_unit(a, b, p, precision=12):
 
     The exponent's valuation is depth(b) - depth(a) on principal parts, so
     the answer compares the split's depths.  Raises when the equation is
-    not solvable to begin with, or when truncation hides a depth it needs.
+    not solvable to begin with, or when truncation hides a depth it needs;
+    integer pairs are decided at any ``precision``.
     """
-    verdict, _, da, db = _split(a, b, p, precision)
+    verdict, _, da, db = _split(a, b, p)
     if verdict.verdict == "undetermined":
         raise InsufficientPrecision(verdict.reason)
     if verdict.verdict == "unsolvable":

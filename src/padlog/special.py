@@ -17,14 +17,8 @@ from .errors import (
     ModulusTooLarge,
     NotCoprime,
 )
-from .residue import (
-    ANALYZE_CAP,
-    _cap,
-    _require_prime,
-    brute_dlog,
-    group_structure,
-    order_mod,
-)
+from .residue import ANALYZE_CAP, _cap, _require_prime, group_structure, order_mod
+from .solver import solve_by_lifting
 
 # failed-condition codes, in the order the definition lists them
 COPRIMALITY = "coprimality"
@@ -103,25 +97,18 @@ def analyze_pair(a, b, p, n):
             x_o=None, ord_a=None, x_order=None, max_possible=None,
         )
     ord_a = order_mod(a, modulus)
-    ord_b = order_mod(b, modulus)
-    x_o = brute_dlog(a, b, p, n)
-    # <b> = <a> exactly when b is a power of a of the same order
-    same_subgroup = ord_a == ord_b and x_o is not None
+    # the climb's x_n is the smallest positive solution mod p^n
+    x_o = solve_by_lifting(a, b, p, n).x
     max_possible = _max_possible_order(ord_a)
-    if not same_subgroup:
-        x_order = None
-        if x_o is not None and math.gcd(x_o, ord_a) == 1:
-            x_order = order_mod(x_o, ord_a) if ord_a > 1 else 1
+    # ord(a^x) = ord(a) / gcd(x, ord a), so <b> = <a> exactly when b = a^x_o
+    # with x_o prime to ord(a)
+    if x_o is None or math.gcd(x_o, ord_a) != 1:
         return SpecialPairReport(
             a=a, b=b, p=p, n=n,
             is_special=False, failed_condition=SUBGROUP_MISMATCH,
-            x_o=x_o, ord_a=ord_a, x_order=x_order, max_possible=max_possible,
+            x_o=x_o, ord_a=ord_a, x_order=None, max_possible=max_possible,
         )
-    if x_o is None or math.gcd(x_o, ord_a) != 1:
-        raise InternalInvariantError(
-            "equal subgroups must give a discrete log coprime to the order"
-        )
-    x_order = order_mod(x_o, ord_a) if ord_a > 1 else 1
+    x_order = order_mod(x_o, ord_a)
     is_special = x_order == max_possible
     return SpecialPairReport(
         a=a, b=b, p=p, n=n,

@@ -137,19 +137,19 @@ def decompose_unit(u):
     return omega, principal
 
 
-def _depth(u, p, precision):
+def _depth(u, p):
     """depth(u) = v_p(u2 - 1) for u = (root of unity) * u2, no lift needed.
 
     At odd p, u^(p-1) = u2^(p-1) kills the root of unity, and p - 1 is a
     unit, so v_p(u^(p-1) - 1) is the depth.  At p = 2 it is v_2(+-u - 1),
     the sign taken so that +-u = 1 mod 4.  An int is exact: its depth is
-    exact whatever ``precision``, and infinite only for +-1.  A PAdicInt is
-    read mod p^N: infinite only for a known +-1, and at least N when its N
-    digits do not show the depth.
+    exact (read mod p^12, p^24, ... until it shows), and infinite only for
+    +-1.  A PAdicInt is read mod p^N: infinite only for a known +-1, and at
+    least N when its N digits do not show the depth.
     """
     exact = isinstance(u, int)
     if exact:
-        z, known, k = u, u, precision
+        z, known, k = u, u, 12
     else:
         if p == 2 and u.precision < 2:
             raise InsufficientPrecision(
@@ -203,7 +203,7 @@ def depth(u, strict=True):
         )
     if in_domain:
         # u is its own principal part
-        valuation = _depth(u, p, u.precision)
+        valuation = _depth(u, p)
     else:
         # u - 1 is a unit, or twice one at p = 2
         valuation = ValuationBound.exact(int(p == 2))

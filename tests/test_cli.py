@@ -137,6 +137,13 @@ def test_proot_single_and_range(capsys):
     code, out, _ = run_cli(["proot", "-p", "5", "--through", "7"], capsys)
     assert code == EX_OK
     assert out.splitlines() == ["5: 2 3", "7: 3 5"]
+    # a single p must be prime; a range skips the composites
+    code, out, err = run_cli(["proot", "-p", "4"], capsys)
+    assert code == EX_DOMAIN
+    assert out == "" and "error (not-prime)" in err
+    code, out, _ = run_cli(["proot", "-p", "4", "--through", "6"], capsys)
+    assert code == EX_OK
+    assert out.splitlines() == ["5: 2 3"]
 
 
 # ---------------------------------------------------------------------------

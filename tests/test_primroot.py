@@ -262,8 +262,10 @@ def test_all_stable_roots_entries_are_stable():
     for p in TABLE:
         for r in all_stable_roots(p):
             assert is_stable_root(r, p)
-        for r in all_stable_roots(p, full=True):
-            assert is_stable_root(r, p)
+    # full mode lists every stable generator, none missing
+    for p in sympy.primerange(3, 2000):
+        want = [r for r in range(2, p) if is_stable_root(r, p)]
+        assert all_stable_roots(p, full=True) == want, p
 
 
 def mirror_table_row(p):

@@ -487,6 +487,28 @@ def test_only_residue_imports_sympy():
     assert importers == {"residue.py"}
 
 
+def test_only_residue_names_the_oracles():
+    # the enumeration oracles anchor tests and are no product path;
+    # __init__.py re-exports them, so it is exempt
+    oracles = {"brute_dlog", "census_unit_group_structure"}
+    users = set()
+    for path in Path(padlog.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in oracles:
+                users.add(path.name)
+    assert users <= {"residue.py"}
+
+
 def test_every_import_is_used():
     # a name a module imports but never reads is a leftover of a move;
     # __init__.py re-exports, so it is exempt

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from padlog.errors import (
     AIsOne,
+    BaseMismatch,
     InsufficientPrecision,
     NotAUnit,
     UnsolvableError,
@@ -601,6 +602,24 @@ def test_exact_integer_pairs_are_decided_at_any_precision():
     got = solve_log_ratio(6, 11, 5, 1)
     assert got.x.precision == 1
     assert got.x.to_int() == solve_log_ratio(6, 11, 5, 6).x.to_int() % 5
+    # an int's depth does not depend on the precision, so even precisions
+    # below 1 decide; only a route that returns digits refuses them
+    for precision in (0, -1):
+        assert check_existence(6, 11, 5, precision=precision).verdict == "solvable"
+        assert solution_is_unit(6, 11, 5, precision=precision) is True
+        with pytest.raises(ValueError):
+            solve_units(6, 11, 5, precision=precision)
+
+
+def test_padic_inputs_over_another_base_are_refused():
+    six, thirty_six = from_integer(6, 5, 8), from_integer(36, 7, 8)
+    for call in (check_existence, solution_is_unit):
+        with pytest.raises(BaseMismatch, match="cannot mix bases 7 and 5"):
+            call(six, thirty_six, 5)
+    with pytest.raises(BaseMismatch, match="cannot mix bases 7 and 5"):
+        solve_units(six, thirty_six, 5, 4)
+    with pytest.raises(BaseMismatch, match="cannot mix bases 5 and 7"):
+        solve_log_ratio(six, from_integer(11, 5, 8), 7, 4)
 
 
 _units = st.integers(-(10**30), 10**30)

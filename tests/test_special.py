@@ -151,15 +151,24 @@ def test_coprimality_failure():
 
 def test_x_o_rederives_by_enumeration():
     cases = [(-3, 5, 2, 6), (-3, 5, 2, 8), (2, 3, 5, 2), (4, -6, 5, 3)]
+    for p in (2, 3, 5, 7):
+        n = 1
+        while p**n <= 200:
+            units = [u for u in range(1, p**n) if u % p]
+            cases += [(a, b, p, n) for a in units for b in units]
+            n += 1
     for a, b, p, n in cases:
         report = analyze_pair(a, b, p, n)
         modulus = p**n
-        smallest = None
-        for x in range(1, report.ord_a + 1):
-            if pow(a, x, modulus) == b % modulus:
-                smallest = x
-                break
+        # <a> by enumeration: a^1, a^2, ..., a^ord(a) = 1
+        powers = [pow(a, x, modulus) for x in range(1, report.ord_a + 1)]
+        assert powers[-1] == 1 and powers.count(1) == 1
+        b %= modulus
+        smallest = powers.index(b) + 1 if b in powers else None
         assert report.x_o == smallest
+        # <a> = <b> iff ord a = ord b and b lies in <a>
+        same = smallest is not None and order_mod(b, modulus) == report.ord_a
+        assert (report.failed_condition != SUBGROUP_MISMATCH) == same, (a, b, p, n)
 
 
 def test_max_possible_is_the_enumerated_exponent():

@@ -264,11 +264,11 @@ def test_depth_is_the_principal_depth_helper():
             z = 1 + p**e * rng.randrange(-(10**6), 10**6)
             for u in (from_integer(z, p, N), PAdicInt._of(p, z, N)):
                 want = (u - from_integer(1, p, N)).valuation()
-                assert depth(u).valuation == want == _depth(u, p, N)
+                assert depth(u).valuation == want == _depth(u, p)
             if z != 1:
-                # an int is exact whatever the precision
+                # an int is exact
                 v = max(k for k in range(80) if (z - 1) % p**k == 0)
-                assert _depth(z, p, N) == ValuationBound.exact(v)
+                assert _depth(z, p) == ValuationBound.exact(v)
             # outside the log domain u - 1 is a unit, or twice one at p = 2
             w = z + (2 if p == 2 else rng.randrange(1, p - 1))
             d = depth(from_integer(w, p, N), strict=False)
