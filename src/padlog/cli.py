@@ -21,8 +21,10 @@ Exit codes
 Output is human-oriented by default; ``--format json`` emits one JSON
 object per row with sorted keys and fixed separators, so identical inputs
 produce byte-identical output.  Digit lists are least-significant-first.
-For ``dlog``, ``-N`` asks for that many digits of the p-adic exponent; the
-level climb extends itself until they are pinned.
+For ``dlog``, ``-N`` asks for that many digits of the p-adic exponent.  The
+``lift`` route reads its rows from the ``units`` limit by the order law, up
+to the first level that pins those digits; ``solver.solve_by_lifting``, the
+level-by-level climb, is the oracle it is tested against.
 
 The environment variable PADLOG_MAX_MODULUS overrides the built-in
 brute-force caps used by the residue search and the pair analyzer.
@@ -30,6 +32,7 @@ brute-force caps used by the residue search and the pair analyzer.
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -39,7 +42,14 @@ from .padic import render_power_sum
 from .primroot import all_stable_roots
 from .quotient import power_map_report
 from .residue import _is_prime, group_structure, order_profile
-from .solver import _split, solve_by_lifting, solve_log_ratio, solve_units
+from .solver import (
+    _digits_pinned,
+    _limit_trace,
+    _split,
+    solve_by_lifting,
+    solve_log_ratio,
+    solve_units,
+)
 from .special import analyze_pair, cycle_decomposition
 from .teichmuller import teichmuller_lift
 
@@ -65,13 +75,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, records, human_lines):
+    """Print the records as JSON lines, or the human lines.  A record that
+    is already a string is a pre-encoded JSON line and is printed as is."""
     if args.format == "json":
-        lines = (json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records)
+        encode = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+        lines = [r if isinstance(r, str) else encode(r) for r in records]
     else:
-        lines = human_lines
+        lines = list(human_lines)
     try:
-        for line in lines:
-            print(line)
+        if lines:
+            print("\n".join(lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so that the flush at
@@ -91,13 +104,13 @@ def _bracket(factors):
 # dlog
 
 
-def _climbing_trace(a, b, p, want_digits):
-    """Lifting trace climbed to at least ``want_digits + 2`` levels and
-    until ``want_digits`` digits are pinned.
+def _lift_levels(a, b, p, want_digits):
+    """Levels of the lift route: at least ``want_digits + 2``, and enough
+    to pin ``want_digits`` digits.
 
-    The verdict comes from the decision procedure: an unsolvable pair is
-    climbed exactly to its failing level, which may lie above any level
-    the digit count asks for.  Pure torsion bases (a = -1) never pin more
+    The verdict comes from the decision procedure: an unsolvable pair
+    stops exactly at its failing level, which may lie above any level the
+    digit count asks for.  Pure torsion bases (a = -1) never pin more
     digits.  For any other base the order law pins n - depth(a) digits at
     level n >= depth(a) (at p = 2 and a = 3 mod 4, at least one), so level
     want_digits + depth(a) pins the digits when level want_digits + 2 does
@@ -105,34 +118,45 @@ def _climbing_trace(a, b, p, want_digits):
     """
     verdict, _, da, _ = _split(a, b, p)
     if verdict.verdict == "unsolvable":
-        return solve_by_lifting(a, b, p, verdict.failing_level)
-    trace = solve_by_lifting(a, b, p, want_digits + 2)
-    if a == -1 or len(trace.digits) >= want_digits:
-        return trace
-    return solve_by_lifting(a, b, p, want_digits + da.amount)
+        return verdict.failing_level
+    n = want_digits + 2
+    if da.is_infinite or _digits_pinned(n, a, p, da.amount)[-1] >= want_digits:
+        return n
+    return want_digits + da.amount
 
 
-def _lift_records(trace, rows):
-    """One JSON record per lifting row, with the prefix of digits it pins."""
+def _lift_lines(trace, rows):
+    """One JSON line per lifting row, with the prefix of digits it pins.
+
+    The digits are joined once and each line slices its prefix up to a
+    recorded comma offset, so the lines cost time linear in their length.
+    Each equals the row's record {"digits", "n", "verdict", "x_n"} dumped
+    with sorted keys and fixed separators.
+    """
+    texts = [str(d) for d in trace.digits]
+    joined = ",".join(texts)
+    # the first k digits end where the k-th comma (or the string) does
+    ends = [0, *(end - 1 for end in itertools.accumulate(len(t) + 1 for t in texts))]
     return [
-        {
-            "n": row.n,
-            "x_n": row.x_n,
-            "digits": list(trace.digits[: row.digit_count]),
-            "verdict": "solvable",
-        }
+        '{"digits":[%s],"n":%d,"verdict":"solvable","x_n":%d}'
+        % (joined[: ends[row.digit_count]], row.n, row.x_n)
         for row in rows
     ]
 
 
 def _dlog_lift(args):
-    trace = _climbing_trace(args.a, args.b, args.p, args.N)
+    levels = _lift_levels(args.a, args.b, args.p, args.N)
+    trace = _limit_trace(args.a, args.b, args.p, levels)
     digits = list(trace.digits[: args.N])
-    records = _lift_records(trace, trace.rows)
-    human = [
-        "n=%-3d x_n=%-12d order=%d" % (row.n, row.x_n, row.order)
-        for row in trace.rows
-    ]
+    # only the chosen format's row lines: each set costs about as much as the trace
+    if args.format == "json":
+        records, human = _lift_lines(trace, trace.rows), []
+    else:
+        records = []
+        human = [
+            "n=%-3d x_n=%-12d order=%d" % (row.n, row.x_n, row.order)
+            for row in trace.rows
+        ]
     power_sum = render_power_sum(digits, args.p)
     summary = {
         "digits": digits,
@@ -371,7 +395,7 @@ def _dlog_rows(a, b, p, n_max, n_min=1):
     trace = solve_by_lifting(a, b, p, n_max)
     rows = [row for row in trace.rows if row.n >= n_min]
     human = ["n=%-3d x_n=%d" % (row.n, row.x_n) for row in rows]
-    return _lift_records(trace, rows), human
+    return _lift_lines(trace, rows), human
 
 
 def _table_order_2_mod_5n():

@@ -206,8 +206,9 @@ def all_stable_roots(p, full=False):
     default reproduces the canonical table rows: for p = 3 (mod 4) and for
     p = 5 that is the same full list, while for larger p = 1 (mod 4) each
     mirror pair {r, p - r} of generators is represented once, by its small
-    member r <= (p - 1)/2, or by its repair p - r from :func:`stabilize` when
-    r is unstable.
+    member r <= (p - 1)/2, or by its repair p - r when r is unstable (as
+    :func:`stabilize` would): if r^(p-1) = 1 mod p^2, then (p - r)^(p-1) =
+    1 + p r^(p-2) mod p^2, so p - r is stable.
     """
     _require_prime(p)
     if p == 2:
@@ -219,5 +220,5 @@ def all_stable_roots(p, full=False):
         if full or p % 4 == 3 or p == 5:
             listed[r] = _generates_mod_p2(r, p)
         elif 2 * r < p:
-            listed[stabilize(r, p).root] = 1
+            listed[r if _generates_mod_p2(r, p) else p - r] = 1
     return list(itertools.compress(range(p), listed))

@@ -25,12 +25,18 @@ only a truncated ``PAdicInt`` whose digits hide a needed depth comes back
   guard digits as depth(a).
 * ``solution_is_unit`` compares the split's depths.
 * ``solve_by_lifting`` climbs the levels mod p, mod p^2, ... without the
-  split; it is the ground truth the other routes are tested against.
+  split; it is the level-by-level oracle the other routes are tested
+  against, and the route of the tables and ``analyze_pair``.
+* ``_limit_trace``, the CLI's ``lift`` route, returns the same trace read
+  from the ``solve_units`` limit: the order law gives each level's order,
+  and x_n is the limit reduced mod that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -173,6 +179,54 @@ def _trace_digits(rows, p):
         return ()
     last = rows[-1]
     return _digits_simple(last.x_n, p, last.digit_count) if last.digit_count else ()
+
+
+def _digits_pinned(n_max, a, p, depth):
+    """v_p(ord_n / ord_1) for n = 1..n_max: how many digits of the limit
+    each level pins.
+
+    By the order law the order of a mod p^n stays at its level-1 value up
+    to level depth(a) and gains one factor p per level above it.  At p = 2
+    and a = 3 mod 4 the sign doubles the order from level 2 on, so every
+    level above the first pins at least one digit.
+    """
+    sign = 1 if p == 2 and a % 4 == 3 else 0
+    return [0, *(max(sign, n - depth) for n in range(2, n_max + 1))]
+
+
+def _limit_trace(a, b, p, n_max):
+    """``solve_by_lifting(a, b, p, n_max)``, read from the limit instead of
+    climbed.
+
+    Level n has order ord_n = ord_1 * p^k, with k its ``_digits_pinned``
+    count and ord_1 the order m of a mod p (1 at p = 2).  Its smallest
+    positive solution x_n is the canonical residue X of ``solve_units``
+    reduced mod ord_n, or ord_n when that is 0.  X is known mod m * p^k
+    (mod 2^k at p = 2), so one units solve to the top level's k digits
+    gives every row.  Unsolvable pairs and the pure torsion bases +-1 are
+    climbed, an unsolvable pair only up to its failing level, which lies
+    at most one level above depth(a).
+    """
+    verdict, m, da, _ = _split(a, b, p)
+    if verdict.verdict == "unsolvable":
+        return solve_by_lifting(a, b, p, min(n_max, verdict.failing_level))
+    if da.is_infinite:
+        return solve_by_lifting(a, b, p, n_max)
+    pinned = _digits_pinned(n_max, a, p, da.amount)
+    x = solve_units(a, b, p, max(1, pinned[-1])).x
+    # orders[k] = ord_1 * p^k and xs[k] = x_n at the levels that pin k digits
+    first = 1 if p == 2 else m
+    orders = list(accumulate(repeat(p, pinned[-1]), mul, initial=first))
+    xs = [x % order or order for order in orders]
+    rows = [LiftingRow(n, xs[k], orders[k], k) for n, k in enumerate(pinned, 1)]
+    return LiftingTrace(
+        a=a,
+        b=b,
+        p=p,
+        rows=tuple(rows),
+        verdict="solvable",
+        digits=_trace_digits(rows, p),
+    )
 
 
 def convergence_certificate(trace):

@@ -23,11 +23,12 @@ from padlog.cli import (
     EX_UNSOLVABLE,
     EX_USAGE,
     TABLES,
+    _lift_lines,
     build_parser,
     main,
 )
 from padlog.padic import PAdicInt, parse_padic
-from padlog.solver import check_existence
+from padlog.solver import check_existence, solve_by_lifting
 from padlog.teichmuller import teichmuller_lift
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -234,6 +235,53 @@ def test_lift_climb_reaches_the_digits_of_a_deep_base(capsys):
     code, out, _ = run_cli(argv + ["--method", "units"], capsys)
     assert code == EX_OK
     assert (json_rows(out)[-1]["digits"], json_rows(out)[-1]["x"]) == ([1, 2, 0], 7)
+
+
+def test_lift_rows_reach_a_failing_level_above_the_digits_asked_for(capsys):
+    # -N 1 asks for 3 levels, but -1 never reaches 17 = 1 + 2^4 and the
+    # rows run up to the failing level 5
+    argv = ["dlog", "-p", "2", "-a", "-1", "-b", "17", "-N", "1", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EX_UNSOLVABLE
+    rows = json_rows(out)
+    assert [(r["n"], r["x_n"], r["digits"]) for r in rows[:-1]] == [
+        (1, 1, []),
+        (2, 2, [0]),
+        (3, 2, [0]),
+        (4, 2, [0]),
+    ]
+    assert (rows[-1]["verdict"], rows[-1]["failing_level"]) == ("unsolvable", 5)
+    assert rows[-1]["digits"] == [0]
+
+
+@pytest.mark.parametrize(
+    "a, b, p, n_max",
+    [
+        (-3, 5, 2, 10),
+        (9, 25, 2, 20),
+        (-4, 6, 5, 10),
+        (1 + 5**4, 1 + 2 * 5**4, 5, 9),  # four rows pin no digit
+        (2, 3, 101, 12),  # digits of one and two characters
+        (3, 5, 2, 5),  # unsolvable: rows up to the failing level
+    ],
+)
+def test_lift_lines_are_the_rows_dumped_as_json(a, b, p, n_max):
+    trace = solve_by_lifting(a, b, p, n_max)
+    want = [
+        json.dumps(
+            {
+                "digits": list(trace.digits[: row.digit_count]),
+                "n": row.n,
+                "verdict": "solvable",
+                "x_n": row.x_n,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for row in trace.rows
+    ]
+    assert _lift_lines(trace, trace.rows) == want
+    assert _lift_lines(trace, trace.rows[2:]) == want[2:]
 
 
 def test_dlog_beyond_the_baby_step_cap_is_65(capsys):

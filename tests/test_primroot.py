@@ -284,6 +284,16 @@ def test_all_stable_roots_matches_the_mirror_rule():
             assert all_stable_roots(p) == mirror_table_row(p), p
 
 
+def test_all_stable_roots_takes_the_repair_of_stabilize():
+    # at p = 1 (mod 4) an unstable small generator r is listed as p - r
+    # without a second generator proof; stabilize derives the same root
+    for p in sympy.primerange(7, 3000):
+        if p % 4 == 1:
+            small = [r for r in range(2, (p + 1) // 2) if is_primitive_root(r, p)]
+            want = sorted(stabilize(r, p).root for r in small)
+            assert all_stable_roots(p) == want, p
+
+
 def test_all_stable_roots_small_edges():
     assert all_stable_roots(3) == [2]
     assert all_stable_roots(2) == [1]

@@ -26,6 +26,7 @@ from padlog.residue import brute_dlog, order_mod
 from padlog.solver import (
     _depth_comparison_verdict,
     _exponent_is_unit,
+    _limit_trace,
     check_existence,
     convergence_certificate,
     solution_is_unit,
@@ -179,6 +180,63 @@ def test_convergence_certificate():
     assert counts == sorted(counts)
     trace2 = solve_by_lifting(9, 25, 2, 20)
     convergence_certificate(trace2)
+
+
+# ---------------------------------------------------------------------------
+# _limit_trace: the lift route read from the units limit
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_limit_trace_equals_the_climb_on_the_unit_box(p):
+    # rows, digits, verdict and failing level, at every level count
+    box = [c for c in range(-40, 41) if c % p]
+    for a in box:
+        for b in box:
+            for n_max in range(1, 11):
+                want = solve_by_lifting(a, b, p, n_max)
+                assert _limit_trace(a, b, p, n_max) == want, (a, b, p, n_max)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_limit_trace_equals_the_climb_at_200_levels(p):
+    rng = random.Random(p)
+
+    def unit():
+        c = rng.randrange(-10**6, 10**6)
+        return c if c % p else c + 1
+
+    for i in range(6):
+        depth = rng.randrange(1, 6)
+        a = unit() if i % 2 else 1 + p**depth * unit()  # every other base deep
+        for b in (
+            pow(a, rng.randrange(1, 10**9), p**210),  # solvable unless truncated
+            -pow(a, rng.randrange(1, 10**9), p**210),  # sign flipped
+            unit(),  # unsolvable, mostly
+            pow(1 + p**depth, rng.randrange(1, 10**9), p**210),  # a deeper target
+        ):
+            if b % p:
+                want = solve_by_lifting(a, b, p, 200)
+                assert _limit_trace(a, b, p, 200) == want, (a, b, p)
+
+
+def test_limit_trace_equals_the_climb_on_a_deep_base():
+    # depth(a) = 300: no digit is pinned below level 301
+    a = 1 + 3**300
+    b = pow(a, 7, 3**400)
+    trace = _limit_trace(a, b, 3, 303)
+    assert trace == solve_by_lifting(a, b, 3, 303)
+    assert trace.rows[299].digit_count == 0
+    assert trace.digits == (1, 2, 0)
+
+
+def test_limit_trace_climbs_an_unsolvable_pair_to_its_failing_level():
+    # -1 never reaches 17 = 1 + 2^4: the climb fails at level 5, above the
+    # 3 levels asked for, and below it only the torsion residue shows
+    assert _limit_trace(-1, 17, 2, 3) == solve_by_lifting(-1, 17, 2, 3)
+    trace = _limit_trace(-1, 17, 2, 8)
+    assert trace == solve_by_lifting(-1, 17, 2, 8)
+    assert (trace.verdict, trace.failing_level) == ("unsolvable", 5)
+    assert trace.rows == ((1, 1, 1, 0), (2, 2, 2, 1), (3, 2, 2, 1), (4, 2, 2, 1))
 
 
 # ---------------------------------------------------------------------------
