@@ -41,7 +41,13 @@ from .errors import AIsOne, NotInRange, PadlogError, UnknownTable, UnsolvableErr
 from .padic import render_power_sum
 from .primroot import all_stable_roots
 from .quotient import power_map_report
-from .residue import _is_prime, group_structure, order_profile
+from .residue import (
+    PRINTED_EXPONENT_DIGITS,
+    _is_prime,
+    _require_prime,
+    group_structure,
+    order_profile,
+)
 from .solver import (
     _digits_pinned,
     _limit_trace,
@@ -58,6 +64,9 @@ EX_UNSOLVABLE = 2
 EX_UNDETERMINED = 3
 EX_USAGE = 64
 EX_DOMAIN = 65
+
+#: the lift and units routes refuse a run whose exponents may reach this
+_PRINT_LIMIT = 10**PRINTED_EXPONENT_DIGITS
 
 #: primes of the classical stable-root table, in its printed order
 TABLE_PRIMES = (5, 13, 17, 29, 37, 41, 7, 11, 19, 23, 31, 43)
@@ -104,19 +113,19 @@ def _bracket(factors):
 # dlog
 
 
-def _lift_levels(a, b, p, want_digits):
+def _lift_levels(a, p, want_digits, split):
     """Levels of the lift route: at least ``want_digits + 2``, and enough
     to pin ``want_digits`` digits.
 
-    The verdict comes from the decision procedure: an unsolvable pair
-    stops exactly at its failing level, which may lie above any level the
-    digit count asks for.  Pure torsion bases (a = -1) never pin more
-    digits.  For any other base the order law pins n - depth(a) digits at
-    level n >= depth(a) (at p = 2 and a = 3 mod 4, at least one), so level
-    want_digits + depth(a) pins the digits when level want_digits + 2 does
-    not.
+    The verdict comes from ``split``, the decision procedure's
+    ``_split(a, b, p)``: an unsolvable pair stops exactly at its failing
+    level, which may lie above any level the digit count asks for.  Pure
+    torsion bases (a = -1) never pin more digits.  For any other base the
+    order law pins n - depth(a) digits at level n >= depth(a) (at p = 2 and
+    a = 3 mod 4, at least one), so level want_digits + depth(a) pins the
+    digits when level want_digits + 2 does not.
     """
-    verdict, _, da, _ = _split(a, b, p)
+    verdict, _, da, _ = split
     if verdict.verdict == "unsolvable":
         return verdict.failing_level
     n = want_digits + 2
@@ -145,63 +154,66 @@ def _lift_lines(trace, rows):
 
 
 def _dlog_lift(args):
-    levels = _lift_levels(args.a, args.b, args.p, args.N)
-    trace = _limit_trace(args.a, args.b, args.p, levels)
+    split = _split(args.a, args.b, args.p)
+    levels = _lift_levels(args.a, args.p, args.N, split)
+    trace = _limit_trace(args.a, args.b, args.p, levels, split)
     digits = list(trace.digits[: args.N])
-    # only the chosen format's row lines: each set costs about as much as the trace
+    power_sum = render_power_sum(digits, args.p)
+    solvable = trace.verdict == "solvable"
+    # only the chosen format's lines: the row lines cost about as much as
+    # the trace, and the human ones join every digit
     if args.format == "json":
-        records, human = _lift_lines(trace, trace.rows), []
+        summary = {
+            "digits": digits,
+            "failing_level": trace.failing_level,
+            "p": args.p,
+            "power_sum": power_sum,
+            "precision": len(digits),
+            "verdict": trace.verdict,
+            "x": trace.x,
+        }
+        _emit(args, [*_lift_lines(trace, trace.rows), summary], [])
     else:
-        records = []
         human = [
             "n=%-3d x_n=%-12d order=%d" % (row.n, row.x_n, row.order)
             for row in trace.rows
         ]
-    power_sum = render_power_sum(digits, args.p)
-    summary = {
-        "digits": digits,
-        "failing_level": trace.failing_level,
-        "p": args.p,
-        "power_sum": power_sum,
-        "precision": len(digits),
-        "verdict": trace.verdict,
-        "x": trace.x,
-    }
-    records.append(summary)
-    if trace.verdict == "solvable":
-        if digits:
-            human.append("x = %s@%d^%d" % (_csv(digits), args.p, len(digits)))
-            human.append("  = %s" % power_sum)
-        human.append("x_n -> %d, verdict: solvable" % trace.x)
-        code = EX_OK
-    else:
-        if digits:
-            human.append("pinned digits: %s" % _csv(digits))
-        human.append("verdict: unsolvable at level %d" % trace.failing_level)
-        code = EX_UNSOLVABLE
-    _emit(args, records, human)
-    return code
+        if solvable:
+            if digits:
+                human.append("x = %s@%d^%d" % (_csv(digits), args.p, len(digits)))
+                human.append("  = %s" % power_sum)
+            human.append("x_n -> %d, verdict: solvable" % trace.x)
+        else:
+            if digits:
+                human.append("pinned digits: %s" % _csv(digits))
+            human.append("verdict: unsolvable at level %d" % trace.failing_level)
+        _emit(args, [], human)
+    return EX_OK if solvable else EX_UNSOLVABLE
 
 
 def _dlog_log(args):
     result = solve_log_ratio(args.a, args.b, args.p, args.N)
     digits = result.x.digits
     power_sum = render_power_sum(digits, args.p)
-    record = {
-        "depth_a": result.depth_a,
-        "digits": list(digits),
-        "p": args.p,
-        "power_sum": power_sum,
-        "precision": len(digits),
-        "verdict": "solvable",
-    }
-    human = [
-        "x = %s@%d^%d" % (_csv(digits), args.p, len(digits)),
-        "  = %s" % power_sum,
-        "depth(a) = %d, guard digits spent = %d"
-        % (result.depth_a, result.precision_loss),
-    ]
-    _emit(args, [record], human)
+    # only the chosen format's lines: the human ones join every digit
+    if args.format == "json":
+        record = {
+            "depth_a": result.depth_a,
+            "digits": list(digits),
+            "p": args.p,
+            "power_sum": power_sum,
+            "precision": len(digits),
+            "verdict": "solvable",
+        }
+        _emit(args, [record], [])
+    else:
+        human = [
+            "x = %s@%d^%d" % (_csv(digits), args.p, len(digits)),
+            "  = %s" % power_sum,
+            "depth(a) = %d, guard digits spent = %d"
+            % (result.depth_a, result.precision_loss),
+        ]
+        _emit(args, [], human)
     return EX_OK
 
 
@@ -212,31 +224,44 @@ def _dlog_units(args):
         if sol.principal_exponent is not None
         else None
     )
-    record = {
-        "depth_a": sol.depth_a,
-        "digits": principal,
-        "p": args.p,
-        "precision": sol.precision,
-        "reason": sol.reason,
-        "torsion_modulus": sol.torsion_modulus,
-        "torsion_residue": sol.torsion_residue,
-        "verdict": sol.verdict,
-        "x": sol.x,
-    }
-    human = []
-    if sol.torsion_modulus > 1:
-        human.append(
-            "torsion: x = %d (mod %d)" % (sol.torsion_residue, sol.torsion_modulus)
-        )
-    if principal is not None:
-        human.append("principal exponent digits: %s" % _csv(principal))
-    if sol.x is not None:
-        human.append("x = %d" % sol.x)
-    human.append("verdict: %s" % sol.verdict)
-    if sol.reason:
-        human.append("reason: %s" % sol.reason)
-    _emit(args, [record], human)
+    if args.format == "json":
+        record = {
+            "depth_a": sol.depth_a,
+            "digits": principal,
+            "p": args.p,
+            "precision": sol.precision,
+            "reason": sol.reason,
+            "torsion_modulus": sol.torsion_modulus,
+            "torsion_residue": sol.torsion_residue,
+            "verdict": sol.verdict,
+            "x": sol.x,
+        }
+        _emit(args, [record], [])
+    else:
+        human = []
+        if sol.torsion_modulus > 1:
+            human.append(
+                "torsion: x = %d (mod %d)" % (sol.torsion_residue, sol.torsion_modulus)
+            )
+        if principal is not None:
+            human.append("principal exponent digits: %s" % _csv(principal))
+        if sol.x is not None:
+            human.append("x = %d" % sol.x)
+        human.append("verdict: %s" % sol.verdict)
+        if sol.reason:
+            human.append("reason: %s" % sol.reason)
+        _emit(args, [], human)
     return EX_OK if sol.verdict == "solvable" else EX_UNDETERMINED
+
+
+def _may_print_too_long(p, N):
+    """Is p^(N + 2), the bound on the exponents the lift and units routes
+    print, above 10^PRINTED_EXPONENT_DIGITS?  A composite p is refused
+    first, and the power is formed only when it cannot be huge."""
+    _require_prime(p)
+    if (p.bit_length() - 1) * (N + 2) >= _PRINT_LIMIT.bit_length():
+        return True  # p^(N + 2) >= 2^that > the limit
+    return p ** (N + 2) > _PRINT_LIMIT
 
 
 def cmd_dlog(args):
@@ -247,6 +272,12 @@ def cmd_dlog(args):
     method = args.method
     if method == "auto":
         method = "lift"
+    if method != "log" and _may_print_too_long(args.p, args.N):
+        raise NotInRange(
+            "the %s route prints exponents below p^(N + 2), which at p = %d "
+            "and N = %d may have more than %d decimal digits; --method log "
+            "prints digits only" % (method, args.p, args.N, PRINTED_EXPONENT_DIGITS)
+        )
     try:
         if method == "lift":
             return _dlog_lift(args)

@@ -25,9 +25,9 @@ from .errors import (
     NotPrime,
 )
 
-# The package's caps on brute-force work, in one place.  The environment
-# variable PADLOG_MAX_MODULUS, read through _cap, replaces BRUTE_DLOG_CAP and
-# ANALYZE_CAP only; the other three are fixed.
+# The package's caps on brute-force work and output size, in one place.  The
+# environment variable PADLOG_MAX_MODULUS, read through _cap, replaces
+# BRUTE_DLOG_CAP and ANALYZE_CAP only; the others are fixed.
 #: largest p^n that brute_dlog enumerates
 BRUTE_DLOG_CAP = 10**7
 #: largest p^n that special.analyze_pair analyzes
@@ -40,6 +40,11 @@ FINITE_LEVEL_CAP = 10**5
 #: unit-group size up to which that check also runs the literal per-element
 #: census, cross-checked against the generator decomposition
 CENSUS_LIMIT = 500
+#: most decimal digits of an exponent the CLI prints: CPython's default
+#: limit on turning an int into text.  The dlog lift and units routes print
+#: integers below p^(N + 2), so they refuse a run with p^(N + 2) > 10^this
+#: before solving; the log route prints digits only and has no such cap
+PRINTED_EXPONENT_DIGITS = 4300
 
 
 def _cap(default):

@@ -194,9 +194,9 @@ def _digits_pinned(n_max, a, p, depth):
     return [0, *(max(sign, n - depth) for n in range(2, n_max + 1))]
 
 
-def _limit_trace(a, b, p, n_max):
+def _limit_trace(a, b, p, n_max, split=None):
     """``solve_by_lifting(a, b, p, n_max)``, read from the limit instead of
-    climbed.
+    climbed.  ``split`` is ``_split(a, b, p)``, when the caller has it.
 
     Level n has order ord_n = ord_1 * p^k, with k its ``_digits_pinned``
     count and ord_1 the order m of a mod p (1 at p = 2).  Its smallest
@@ -207,13 +207,14 @@ def _limit_trace(a, b, p, n_max):
     climbed, an unsolvable pair only up to its failing level, which lies
     at most one level above depth(a).
     """
-    verdict, m, da, _ = _split(a, b, p)
+    split = split or _split(a, b, p)
+    verdict, m, da, _ = split
     if verdict.verdict == "unsolvable":
         return solve_by_lifting(a, b, p, min(n_max, verdict.failing_level))
     if da.is_infinite:
         return solve_by_lifting(a, b, p, n_max)
     pinned = _digits_pinned(n_max, a, p, da.amount)
-    x = solve_units(a, b, p, max(1, pinned[-1])).x
+    x = _solve_split_units(a, b, p, max(1, pinned[-1]), split).x
     # orders[k] = ord_1 * p^k and xs[k] = x_n at the levels that pin k digits
     first = 1 if p == 2 else m
     orders = list(accumulate(repeat(p, pinned[-1]), mul, initial=first))
@@ -510,7 +511,12 @@ def solve_units(a, b, p, precision=12):
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    verdict, m, da, db = _split(a, b, p)
+    return _solve_split_units(a, b, p, precision, _split(a, b, p))
+
+
+def _solve_split_units(a, b, p, precision, split):
+    """``solve_units`` for a caller that already holds ``_split(a, b, p)``."""
+    verdict, m, da, db = split
     if (a if isinstance(a, int) else a._int_value) == 1:
         raise AIsOne("powers of 1 cannot reach anything but 1")
     if verdict.verdict == "unsolvable":

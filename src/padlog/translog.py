@@ -7,11 +7,20 @@ p^K for the working precision K; they depend only on the input mod p^K.
 
 log u is taken as p^(-k) log(u^(p^k)) (Satoh, Skjernaa and Taguchi):
 raising u to the p^k-th power at K + k digits deepens u - 1 by k, so the
-series needs about (K + k) / (c + k) terms instead of K / c, where
-c = v(u - 1).  The power costs about k log2(p) squarings, so
-k = sqrt(K / bits(p)) balances the two.  The terms w^n / n are summed as
-one running fraction whose denominator, the product of the p-free parts
-of n, is inverted once per series.
+series needs T = about (K + k) / (c + k) terms instead of K / c, where
+c = v(u - 1).  The series is summed by rectangular splitting (Paterson and
+Stockmeyer; Brent and Zimmermann, Modern Computer Arithmetic, 4.4.3).
+Scaled by D = lcm(1..T), every coefficient +-D/n is an integer of about
+1.44 T bits.  The powers w^2..w^s, s = ceil(sqrt(T)), are formed once, and
+Horner's rule in w^s runs over blocks of s terms, each block a sum of small
+multiples of the stored powers: about 2 sqrt(T) full-size products in all.
+Dividing by the p-part of D is exact, and its p-free part is inverted once
+per series.  The power costs about k log2(p) squarings; a series product,
+with its block and its reduction, measures about two squarings, so k is
+chosen to minimize k log2(p) + 4 sqrt((K + k) / (c + k)), which for k
+small against K puts c + k near (4 K / log2(p)^2)^(1/3).  At small K, a k
+that leaves a single term w is taken when it needs at most
+ONE_TERM_SQUARINGS squarings.
 
 exp x is the Newton inverse of log: y <- y (1 + x - log y), doubling the
 correct digits each step.  Since log is an isometry, the final check
@@ -20,8 +29,10 @@ log y = x mod p^K proves y = exp x mod p^K.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -104,36 +115,83 @@ def padic_log(u, precision=None):
     return PAdicInt._of(p, _log_mod(u.residue, p, K), K)
 
 
+#: squarings the p^k power may spend to leave a one-term log series: the
+#: general series path costs about that much interpreter time at small K
+ONE_TERM_SQUARINGS = 8
+
+
 def _log_mod(u, p, K):
     """log u mod p^K for an integer u = 1 mod p (mod 4 when p = 2)."""
     if (u - 1) % (4 if p == 2 else p):
         # outside the region the series diverges, which the p^k power could hide
         raise InternalInvariantError("log of a unit that is not principal")
-    k = math.isqrt(K // p.bit_length())
-    top = K + k
-    w = (pow(u, p**k, p**top) - 1) % p**top  # k deeper than u - 1
-    if w == 0:
-        return 0
-    c = _vp(w, p)
-    n_stop = 1  # every term w^n / n with n >= n_stop vanishes mod p^top
-    while n_stop * c - _floor_log(n_stop, p) < top:
-        n_stop += 1
-    # terms are divided by up to p^guard, so powers of w carry guard extra digits
-    guard = _floor_log(n_stop, p)
-    modulus = p ** (top + guard)
-    # the partial sum is num / den, den the product of the p-free parts m
-    # of n: a few bits per term, so neither is reduced inside the loop
-    num, den = 0, 1
-    w_pow = 1
-    for n in range(1, n_stop):
-        w_pow = w_pow * w % modulus
-        vp = _vp(n, p)
-        m = n // p**vp
-        term = w_pow // p**vp
-        num = num * m + (term if n % 2 else -term) * den
-        den *= m
-    total = num * pow(den, -1, modulus) % p**top
-    return total // p**k
+    pK = p**K
+    z = (u - 1) % pK
+    if z == 0:
+        return 0  # v(log u) = v(u - 1) >= K
+    c = _vp(z, p)
+    k, T, e = _series_shape(p, K, c)
+    pk = p**k
+    top, ptop = K + k, pK * pk
+    w = (pow(u, pk, ptop) - 1) % ptop
+    if T == 1:
+        return w // pk  # a one-term series is w itself
+    c += k  # each p-th power deepens a principal unit by exactly one
+    D, s, blocks = _series_blocks(T)
+    pe = p**e  # the p-part of D
+    modulus = ptop * pe
+    powers = [w]  # w^1..w^s
+    for _ in range(s - 1):
+        powers.append(powers[-1] * w % modulus)
+    # Horner in w^s from the top block down.  Block i ends up multiplied by
+    # w^(i s), which carries i s c factors of p, so it is needed only mod
+    # p^(top + e - i s c)
+    step = p ** (s * c)
+    m = p ** (top + e - (len(blocks) - 1) * s * c)
+    acc = 0
+    for block in blocks:
+        acc = (acc * powers[-1] + sum(map(mul, block, powers))) % m
+        m *= step
+    # acc = D log(1 + w) mod p^(top + e), and D / p^e is prime to p
+    return acc // pe * pow(D // pe, -1, ptop) % ptop // pk
+
+
+@functools.lru_cache(maxsize=1024)
+def _series_shape(p, K, c):
+    """(k, T, e) for log mod p^K of a unit u with v(u - 1) = c, cached.
+
+    k minimizes the cost model of the module docstring, its minimum
+    rounded up (at small K a squaring costs less than its share), unless
+    the least k that leaves a one-term series, w itself, needs at most
+    ONE_TERM_SQUARINGS squarings.  T counts the terms w^n / n that survive
+    mod p^(K + k): w has depth c + k, and the first n with
+    n (c + k) - floor_log(n) >= K + k lies at or above (K + k) / (c + k).
+    e = v_p(lcm(1..T)).
+    """
+    k = max(0, K - 2 * c + (p == 2))  # w^2 / 2 vanishes from this k on
+    if k * math.log2(p) > ONE_TERM_SQUARINGS:
+        k = max(0, math.ceil((4 * K / math.log2(p) ** 2) ** (1 / 3)) - c)
+    top, c = K + k, c + k
+    n = -(-top // c)
+    while n * c - _floor_log(n, p) < top:
+        n += 1
+    return k, n - 1, _floor_log(n - 1, p)
+
+
+@functools.lru_cache(maxsize=32)
+def _series_blocks(T):
+    """(D, s, blocks) for the T-term log series, D = lcm(1..T).
+
+    The coefficient of w^n is +-D/n; blocks holds them in runs of
+    s = ceil(sqrt(T)), the run for w^(i s + 1)..w^(i s + s) at index i
+    from the end, since Horner's rule reads the highest run first.  They
+    depend on T alone, and a series at a given precision and depth has the
+    same T every time.
+    """
+    D = math.lcm(*range(1, T + 1))
+    coeffs = [D // n if n % 2 else -(D // n) for n in range(1, T + 1)]
+    s = math.isqrt(T - 1) + 1
+    return D, s, tuple(tuple(coeffs[i : i + s]) for i in range((T - 1) // s * s, -1, -s))
 
 
 def _floor_log(n, p):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padlog import cli, solver
 from padlog.cli import (
     EX_DOMAIN,
     EX_OK,
@@ -296,6 +297,71 @@ def test_dlog_beyond_the_baby_step_cap_is_65(capsys):
         assert code == EX_DOMAIN, method
         assert out == ""
         assert "modulus-too-large" in err
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("method", ["lift", "units"])
+def test_dlog_refuses_an_exponent_too_long_to_print(method, fmt, capsys):
+    # 10007^1075 has 4301 decimal digits, more than CPython prints; the
+    # run is refused before solving, as a domain error, not a usage error
+    argv = ["dlog", "-p", "10007", "-a", "5", "-b", "3", "--method", method,
+            "--format", fmt]
+    for n in (1073, 1100):
+        code, out, err = run_cli([*argv, "-N", str(n)], capsys)
+        assert code == EX_DOMAIN, (n, err)
+        assert out == ""
+        assert err.startswith("error (not-in-range): the %s route" % method)
+    # 10007^1074 has 4300 digits: the largest N that still runs
+    if method == "units" or fmt == "json":  # the lift route's rows are slow
+        code, out, err = run_cli([*argv, "-N", "1072"], capsys)
+        assert (code, err) == (EX_OK, "")
+        if fmt == "json":
+            x = json_rows(out)[-1]["x"]
+            assert len(str(x)) <= 4300 and pow(5, x, 10007**2) == 3
+
+
+def test_dlog_log_route_prints_digits_past_the_exponent_cap(capsys):
+    code, out, _ = run_cli(
+        ["dlog", "-p", "10007", "-a", "10008", "-b", str(10008**2), "-N", "1100",
+         "--method", "log", "--format", "json"],
+        capsys,
+    )
+    assert code == EX_OK
+    assert json_rows(out)[0]["digits"] == [2] + [0] * 1099
+
+
+@pytest.mark.parametrize("method", ["lift", "log", "units"])
+def test_json_dlog_builds_no_human_line(method, capsys, monkeypatch):
+    def refuse(digits):
+        raise AssertionError("a human line was built under --format json")
+
+    monkeypatch.setattr(cli, "_csv", refuse)
+    code, out, _ = run_cli(
+        ["dlog", "-p", "5", "-a", "6", "-b", "11", "-N", "8", "--method", method,
+         "--format", "json"],
+        capsys,
+    )
+    assert code == EX_OK
+    assert json_rows(out)[-1]["digits"] == [2, 4, 3, 0, 3, 4, 2, 0]
+
+
+def test_lift_run_decides_the_split_once(capsys, monkeypatch):
+    calls = []
+    real = solver._split
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_split", counted)
+    monkeypatch.setattr(cli, "_split", counted)
+    for a, b, p in ((2, 3, 7), (-2, 3, 5), (3, 7, 2), (9, 25, 2), (3, 2, 7)):
+        calls.clear()
+        code, _, _ = run_cli(
+            ["dlog", "-p", str(p), "-a", str(a), "-b", str(b), "-N", "20"], capsys
+        )
+        assert code in (EX_OK, EX_UNSOLVABLE)
+        assert calls == [(a, b, p)]
 
 
 def test_domain_errors_are_65(capsys):

@@ -287,6 +287,83 @@ def test_kernel_domain_errors(p):
         padic_exp(from_integer(2 * p, 2 * p, 8))
 
 
+def _unit_at_depth(rng, p, c, K):
+    """A principal unit u with v(u - 1) = c exactly, carrying K + 8 digits."""
+    unit = rng.randrange(1, p ** (K + 8))
+    unit += unit % p == 0
+    return 1 + p**c * unit
+
+
+@pytest.fixture
+def series_shapes(monkeypatch):
+    """Record the term count T of every series the log kernel sums, and
+    (T, s) of every one it splits into blocks of s terms."""
+    terms, blocks = set(), set()
+    real_shape, real_blocks = translog._series_shape, translog._series_blocks
+
+    def shape(p, K, c):
+        out = real_shape(p, K, c)
+        terms.add(out[1])
+        return out
+
+    def split(T):
+        out = real_blocks(T)
+        blocks.add((T, out[1]))
+        return out
+
+    monkeypatch.setattr(translog, "_series_shape", shape)
+    monkeypatch.setattr(translog, "_series_blocks", split)
+    return terms, blocks
+
+
+def test_log_kernel_covers_every_block_shape(series_shapes):
+    # every depth c from the least up to K - 1, at the smallest primes,
+    # where T runs over every small value
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        for K in range(1, 61):
+            for c in range(2 if p == 2 else 1, K):
+                u = _unit_at_depth(rng, p, c, K)
+                assert translog._log_mod(u, p, K) == log_series(u, p, K), (p, K, c)
+    terms, blocks = series_shapes
+    assert 1 in terms  # the one-term series, w itself
+    # T a perfect square, T below s^2, and a top block of one coefficient
+    # (T one more than a multiple of s) or of a full run of s
+    assert any(T == s * s and s > 1 for T, s in blocks)
+    assert any(T < s * s for T, s in blocks)
+    assert any(T % s == 1 and s > 1 for T, s in blocks)
+    assert any(T % s == 0 and T != s * s for T, s in blocks)
+
+
+@pytest.mark.parametrize("K", [1, 12, 13, 200, 1000])
+@pytest.mark.parametrize("p", KERNEL_PRIMES + (10007,))
+def test_log_kernel_matches_plain_series_over_depths(p, K):
+    rng = random.Random(p * 7919 + K)
+    least = 2 if p == 2 else 1
+    if K <= 13:
+        depths = range(least, K)  # every depth up to K - 1
+    else:
+        depths = (least, least + 1, least + 3, K // 2, K - 1)
+    for c in depths:
+        u = _unit_at_depth(rng, p, c, K)
+        assert translog._log_mod(u, p, K) == log_series(u, p, K), (p, K, c)
+    # at depth K and beyond, u - 1 and log u vanish mod p^K
+    assert translog._log_mod(1 + p ** max(K, least) * 3, p, K) == 0
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 101))
+def test_exp_and_log_round_trip_at_a_thousand_digits(p):
+    # padic_exp's certificate reruns the log kernel at the full precision
+    rng = random.Random(p)
+    K = 1000
+    least = 2 if p == 2 else 1
+    for c in (least, least + 2):
+        u = _unit_at_depth(rng, p, c, K)
+        x = padic_log(from_integer(u, p, K))
+        assert x.valuation() == c
+        assert padic_exp(x) == from_integer(u, p, K)
+
+
 def test_log_kernel_refuses_a_unit_that_is_not_principal():
     # 3 mod 4 squares to 1 mod 8: only the entry check stops a wrong log
     for u, p in ((2, 5), (3, 2), (7, 2)):
