@@ -72,8 +72,20 @@ _PRINT_LIMIT = 10**PRINTED_EXPONENT_DIGITS
 TABLE_PRIMES = (5, 13, 17, 29, 37, 41, 7, 11, 19, 23, 31, 43)
 
 
+def _integer(text):
+    """int(text), refusing more digits than CPython converts as out of range."""
+    cap = PRINTED_EXPONENT_DIGITS
+    if len(text) > cap and sum(map(str.isdigit, text)) > cap:  # counting costs 4x int()
+        raise NotInRange("integers have at most %d digits" % cap)
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage failures exit with code 64."""
+    """argparse parser: usage failures exit with code 64; ints go through _integer."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _integer)
 
     def error(self, message):
         self.exit(EX_USAGE, "%s: error: %s\n" % (self.prog, message))
@@ -609,9 +621,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PadlogError as exc:
         print("error (%s): %s" % (exc.code, exc), file=sys.stderr)

@@ -24,9 +24,8 @@ from .errors import (
     InsufficientPrecision,
     NotAUnit,
     NotPrime,
-    ZeroInput,
 )
-from .residue import _factorization, _is_prime, _vp
+from .residue import _is_prime, _vp
 
 
 _LEAF_DIGITS = 32  # up to this many digits, one small step per digit is faster
@@ -371,21 +370,6 @@ class PAdicInt:
 def from_integer(z, base, precision):
     """Digits of z mod base**precision (complement form for negative z)."""
     return PAdicInt.from_integer(z, base, precision)
-
-
-def composite_valuation(z, n):
-    """max of v_q(z) over primes q dividing n.
-
-    Not a valuation (no ultrametric inequality is promised); it is exposed
-    as a plain function on nonzero integers.
-    """
-    if not isinstance(z, int) or not isinstance(n, int):
-        raise ValueError("expected integers")
-    if z == 0:
-        raise ZeroInput("v_n(0) is undefined here")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return max(_vp(z, q) for q, _ in _factorization(n))
 
 
 def parse_padic(text):

@@ -1,10 +1,10 @@
 """Finite-level facts about the unit groups mod p^n.
 
 Element orders, how the order of a fixed integer grows with the level n,
-membership in cyclic subgroups, the abelian structure of (Z/nZ)^*, the one
-discrete log mod p the solvers use (Pohlig-Hellman with baby-step
-giant-step), and a deliberately naive discrete-log-by-enumeration oracle
-that anchors every cleverer solver in the package.
+the abelian structure of (Z/nZ)^*, the one discrete log mod p the solvers
+use (Pohlig-Hellman with baby-step giant-step), and a deliberately naive
+discrete-log-by-enumeration oracle that anchors every cleverer solver in
+the package.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ FINITE_LEVEL_CAP = 10**5
 #: unit-group size up to which that check also runs the literal per-element
 #: census, cross-checked against the generator decomposition
 CENSUS_LIMIT = 500
-#: most decimal digits of an exponent the CLI prints: CPython's default
-#: limit on turning an int into text.  The dlog lift and units routes print
-#: integers below p^(N + 2), so they refuse a run with p^(N + 2) > 10^this
-#: before solving; the log route prints digits only and has no such cap
+#: most decimal digits of an int the CLI converts, from text or to text:
+#: CPython's default limit in both directions.  A longer integer argument
+#: is refused; the dlog lift and units routes print integers below
+#: p^(N + 2), so they refuse a run with p^(N + 2) > 10^this before solving;
+#: the log route prints digits only and has no such cap
 PRINTED_EXPONENT_DIGITS = 4300
 
 
@@ -206,16 +207,6 @@ def structure_from_power_counts(group_order, count_fn):
     return AbelianStructure(factors=tuple(sorted(pieces)))
 
 
-def census_unit_group_structure(modulus):
-    """Literal element-by-element census of (Z/modulus Z)^*; test anchor."""
-    units = [x for x in range(1, modulus + 1) if math.gcd(x, modulus) == 1]
-
-    def count_fn(d):
-        return sum(1 for u in units if pow(u, d, modulus) == 1)
-
-    return structure_from_power_counts(len(units), count_fn)
-
-
 # ---------------------------------------------------------------------------
 # totient and orders
 
@@ -304,7 +295,7 @@ def order_profile(a, p, n_max):
 
 
 # ---------------------------------------------------------------------------
-# discrete log oracle and membership
+# discrete logs
 
 
 def brute_dlog(a, b, p, n):
@@ -385,25 +376,6 @@ def _dlog_mod_p(a, b, p, order):
             xq += _dlog_prime_order(gamma, hk, q, p) * q**k
         x += xq * cofactor * pow(cofactor, -1, qe)
     return x % order
-
-
-def subgroup_contains(a, b, p, n):
-    """Does b lie in the cyclic subgroup generated by a mod p^n?"""
-    _require_prime(p)
-    m = p**n
-    a %= m
-    b %= m
-    if math.gcd(a, m) != 1 or math.gcd(b, m) != 1:
-        raise NotCoprime("both arguments must be coprime to p")
-    if p != 2:
-        # the whole unit group is cyclic, so membership is an order condition
-        return pow(b, order_mod(a, m), m) == 1
-    # the units mod 2^n are <-1> x U, U = {u = 1 mod 4} cyclic.  b lies in <a>
-    # iff b, or b/a when b = 3 mod 4, lies in the part of <a> inside U: the
-    # one subgroup of U of order ord(a) when a = 1 mod 4, else ord(a)/2
-    s = b if b % 4 == 1 else b * pow(a, -1, m) % m
-    h = order_mod(a, m) if a % 4 == 1 else order_mod(a, m) // 2
-    return s % 4 == 1 and pow(s, h, m) == 1
 
 
 def group_structure(n):

@@ -20,7 +20,7 @@ only a truncated ``PAdicInt`` whose digits hide a needed depth comes back
 * ``check_existence`` returns the split's verdict, without the exponent.
 * ``solve_units`` raises or returns "undetermined" from the split, and
   otherwise glues the torsion residue of x to the principal exponent
-  log(b2) / log(a2).
+  log(b2) / log(a2), taken on residues with depth(a) from the split.
 * ``solve_log_ratio`` divides logarithms of principal units, with as many
   guard digits as depth(a).
 * ``solution_is_unit`` compares the split's depths.
@@ -51,7 +51,7 @@ from .errors import (
 from .padic import PAdicInt, _digits_simple
 from .residue import _dlog_mod_p, _require_prime, _vp, order_mod
 from .teichmuller import _depth
-from .translog import padic_log
+from .translog import _log_mod, padic_log
 
 
 def _classify_nonunit(a, b, p):
@@ -458,11 +458,15 @@ def solve_log_ratio(a, b, p, precision):
             % (vb.amount, c),
             failing_level=vb.amount + 1,
         )
-    # log a = p^c * unit and p^c divides log b (or log b is 0 to working
-    # precision, and so is x), so one exact division gives x
-    pc = p**c
-    x = lb.residue // pc * pow(la.residue // pc, -1, p**precision)
+    x = _log_ratio(la.residue, lb.residue, p, c, precision)
     return LogRatioResult(x=PAdicInt._of(p, x, precision), depth_a=c, precision_loss=c)
+
+
+def _log_ratio(la, lb, p, c, precision):
+    """lb / la mod p^precision for log residues with la = p^c * unit and p^c
+    dividing lb (or lb 0 to working precision): one exact division."""
+    pc = p**c
+    return lb // pc * pow(la // pc, -1, p**precision)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +496,12 @@ class UnitsSolution:
 
 
 def _principal(u, p, digits):
-    """A principal unit with the depth and the log of u's principal part:
-    +-u at p = 2, u^(p-1) at odd p, to at least ``digits`` digits."""
-    u = _at(u, p, digits)
+    """A principal unit with the depth and the log of u's principal part,
+    as an integer right mod p^digits: +-u at p = 2, u^(p-1) at odd p."""
+    z = _at(u, p, digits).residue
     if p == 2:
-        return u if u.residue % 4 == 1 else -u
-    return u ** (p - 1)
+        return z if z % 4 == 1 else -z
+    return pow(z, p - 1, p**digits)
 
 
 def solve_units(a, b, p, precision=12):
@@ -551,10 +555,10 @@ def _solve_split_units(a, b, p, precision, split):
     if db.is_infinite:
         x1 = PAdicInt.from_integer(0, p, precision)  # b's principal part is 1
     else:
+        # db is finite: the depth test made depth(a) exact and at most depth(b)
         wide = precision + da.amount
-        x1 = solve_log_ratio(
-            _principal(a, p, wide), _principal(b, p, wide), p, precision
-        ).x
+        la, lb = (_log_mod(_principal(u, p, wide), p, wide) for u in (a, b))
+        x1 = PAdicInt._of(p, _log_ratio(la, lb, p, da.amount, precision), precision)
     return UnitsSolution(
         verdict="solvable",
         principal_exponent=x1,

@@ -100,18 +100,6 @@ def teichmuller_lift(a0, p, precision):
     return PAdicInt._of(p, x, precision)
 
 
-def teichmuller_set(p, precision):
-    """All roots of unity in the p-adic units, at the given precision:
-    the p - 1 residue lifts for odd p, just {1, -1} for p = 2."""
-    _require_prime(p)
-    if p == 2:
-        return [
-            PAdicInt.from_integer(1, 2, precision),
-            PAdicInt.from_integer(-1, 2, precision),
-        ]
-    return [teichmuller_lift(a0, p, precision) for a0 in range(1, p)]
-
-
 def decompose_unit(u):
     """Split a unit as (root of unity) * (principal unit).
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import (
@@ -42,16 +41,6 @@ from .errors import (
 )
 from .padic import PAdicInt
 from .residue import _vp
-
-
-def factorial_valuation(n, p):
-    """Number of factors p in n!, by Legendre's sum of floor(n / p^i)."""
-    out = 0
-    q = p
-    while q <= n:
-        out += n // q
-        q *= p
-    return out
 
 
 def padic_exp(x, precision=None):
@@ -205,49 +194,7 @@ def _floor_log(n, p):
 
 
 # ---------------------------------------------------------------------------
-# principal units and powers
-
-
-@dataclass(frozen=True)
-class PrincipalUnit:
-    """A unit tagged with a certified level: value = 1 mod p^level."""
-
-    value: PAdicInt
-    level: int
-
-
-def as_principal(u, level=None):
-    """Wrap a unit after checking it really is 1 mod p^level.
-
-    Without an explicit level the visible one is used: the position of the
-    first nonzero digit of u - 1.
-    """
-    u.require_prime_base()
-    p = u.base
-    w = (u.to_int() - 1) % p**u.precision
-    seen = _vp(w, p) if w else u.precision
-    if level is None:
-        level = seen
-    if level < 1 or seen < level:
-        raise NotPrincipalUnit(
-            "u - 1 carries only %d factors of %d, not %d" % (seen, p, level)
-        )
-    return PrincipalUnit(value=u, level=level)
-
-
-def power_u1_to_uk(a, k):
-    """The canonical squeeze of principal units into level k: a -> a^(p^(k-1)).
-
-    Raising to the p^(k-1) power maps units that are 1 mod p isomorphically
-    onto units that are 1 mod p^k (for odd p).
-    """
-    a.require_prime_base()
-    p = a.base
-    if a.residue % p != 1:
-        raise NotPrincipalUnit("the squeeze is defined on units = 1 mod p")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return a ** (p ** (k - 1))
+# powers of principal units
 
 
 def padic_pow(a, x):

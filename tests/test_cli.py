@@ -330,6 +330,33 @@ def test_dlog_log_route_prints_digits_past_the_exponent_cap(capsys):
     assert json_rows(out)[0]["digits"] == [2] + [0] * 1099
 
 
+@pytest.mark.parametrize("flag", ["-b", "-p"])
+def test_dlog_refuses_an_integer_argument_too_long_to_read(flag):
+    # 4402 digits, past CPython's 4300-digit limit on reading an int: a
+    # domain error that names the cap, not a usage error echoing the digits
+    args = {"-p": "7", "-a": "3", "-b": "2", "-N": "5"}
+    args[flag] = "1" * 4402
+    proc = subprocess.run(
+        [sys.executable, "-m", "padlog.cli", "dlog", *sum(args.items(), ())],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (EX_DOMAIN, "")
+    assert proc.stderr == "error (not-in-range): integers have at most 4300 digits\n"
+
+
+def test_dlog_reads_an_integer_argument_at_the_digit_cap(capsys):
+    b = int("1" * 4300)
+    code, out, err = run_cli(
+        ["dlog", "-p", "7", "-a", "3", "-b", str(b), "-N", "5", "--method", "units",
+         "--format", "json"],
+        capsys,
+    )
+    assert (code, err) == (EX_OK, "")
+    assert pow(3, json_rows(out)[-1]["x"], 7**5) == b % 7**5
+
+
 @pytest.mark.parametrize("method", ["lift", "log", "units"])
 def test_json_dlog_builds_no_human_line(method, capsys, monkeypatch):
     def refuse(digits):

@@ -17,13 +17,11 @@ from padlog.errors import (
     InsufficientPrecision,
     NotAUnit,
     NotPrime,
-    ZeroInput,
 )
 from padlog.padic import (
     PAdicInt,
     ValuationBound,
     _digits_simple,
-    composite_valuation,
     from_integer,
     parse_padic,
     render_power_sum,
@@ -279,26 +277,6 @@ def test_ultrametric_on_exact_valuations():
         vx_y, vx_z, vz_y = v(x - y), v(x - z), v(z - y)
         if all(b.is_exact for b in (vx_y, vx_z, vz_y)):
             assert vx_y.amount >= min(vx_z.amount, vz_y.amount)
-
-
-def test_composite_valuation_of_32_base6():
-    assert composite_valuation(32, 6) == 5
-
-
-def test_composite_valuation_of_18_base36():
-    # by the definition: max(v_2(18), v_3(18)) = max(1, 2)
-    assert composite_valuation(18, 36) == 2
-
-
-def test_composite_valuation_of_units():
-    for n in (2, 6, 12, 36, 100):
-        assert composite_valuation(1, n) == 0
-        assert composite_valuation(-1, n) == 0
-
-
-def test_composite_valuation_rejects_zero():
-    with pytest.raises(ZeroInput):
-        composite_valuation(0, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,14 @@ from padlog.residue import (
     AbelianStructure,
     _dlog_mod_p,
     brute_dlog,
-    census_unit_group_structure,
     euler_phi,
     group_structure,
     order_mod,
     order_profile,
     structure_from_power_counts,
-    subgroup_contains,
 )
+
+from oracles import census_unit_group_structure, subgroup_contains
 
 
 def naive_order(a, m):
@@ -487,25 +487,28 @@ def test_only_residue_imports_sympy():
     assert importers == {"residue.py"}
 
 
+def names_read(tree):
+    """Every name a tree reads, as a name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
 def test_only_residue_names_the_oracles():
     # the enumeration oracles anchor tests and are no product path;
     # __init__.py re-exports them, so it is exempt
-    oracles = {"brute_dlog", "census_unit_group_structure"}
+    oracles = {"brute_dlog"}
     users = set()
     for path in Path(padlog.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name in oracles:
-                users.add(path.name)
+        read = names_read(ast.parse(path.read_text()))
+        if path.name != "__init__.py" and oracles & read:
+            users.add(path.name)
     assert users <= {"residue.py"}
 
 
@@ -524,3 +527,37 @@ def test_every_import_is_used():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_every_public_definition_is_on_a_product_path():
+    # code that only tests reach belongs in tests/: every top-level public
+    # function or class is exported from __init__, read by another product
+    # module, or read by a definition of its own module that is
+    package = Path(padlog.__file__).parent
+    exported = names_read(ast.parse((package / "__init__.py").read_text()))
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    unreached = []
+    for name, tree in trees.items():
+        others = set().union(*(names_read(t) for n, t in trees.items() if n != name))
+        defs = {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        reached = (exported | others) & defs.keys()
+        for node in tree.body:  # module-level statements, `__main__` included
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reached |= names_read(node) & defs.keys()
+        todo = list(reached)
+        while todo:
+            new = names_read(defs[todo.pop()]) & (defs.keys() - reached)
+            reached |= new
+            todo += new
+        unreached += [
+            (name, d) for d in defs if not d.startswith("_") and d not in reached
+        ]
+    assert unreached == []

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padlog import solver
 from padlog.errors import (
     AIsOne,
     BaseMismatch,
     InsufficientPrecision,
     NotAUnit,
+    PadlogError,
     UnsolvableError,
     ZeroInput,
 )
@@ -34,6 +36,7 @@ from padlog.solver import (
     solve_log_ratio,
     solve_units,
 )
+from padlog.teichmuller import _depth
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +596,89 @@ def test_solve_units_precision_of_exponent():
     # x_10 from the worked trace is the smallest representative mod 4 * 5^9,
     # and our combined x solves the congruence at level 10
     assert pow(-2, sol.x, 5**10) == 3 % 5**10
+
+
+@pytest.mark.parametrize("a, b, p", [(-2, 3, 5), (3, 11, 2)])
+def test_solve_units_reads_depth_a_from_the_split(a, b, p, monkeypatch):
+    # the split measures both depths once; the log ratio takes depth(a) from
+    # it instead of measuring it again through solve_log_ratio
+    calls = {"_depth": 0, "solve_log_ratio": 0}
+
+    def counting(name):
+        real = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    sol = solve_units(a, b, p, precision=20)
+    assert sol.verdict == "solvable" and pow(a, sol.x, p**20) == b % p**20
+    assert calls == {"_depth": 2, "solve_log_ratio": 0}
+
+
+def principal_part(u, p, digits):
+    """The principal part of u as a PAdicInt of at least ``digits`` digits:
+    +-u at p = 2, u^(p-1) at odd p.  A truncated u must carry the digits."""
+    if isinstance(u, int):
+        u = from_integer(u, p, digits)
+    elif u.precision < digits:
+        u = u.with_precision(digits)
+    if p == 2:
+        return u if u.residue % 4 == 1 else -u
+    return u ** (p - 1)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PadlogError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_units_exponent_is_the_log_ratio_of_the_principal_parts(p):
+    # reference: solve_log_ratio on the principal parts built as PAdicInts,
+    # with depth(a) guard digits; a truncated input too short for them
+    # raises the same InsufficientPrecision on both sides
+    rng = random.Random(p)
+    compared = refused = 0
+    for precision in (1, 12, 200):
+        for _ in range(12):
+            a = rng.choice([rng.randrange(2, p**6), 1 + p ** rng.randrange(1, 6)])
+            if a % p == 0:
+                continue
+            c = _depth(a, p).amount
+            # b = a^e w with depth(w) > c: solvable, and at p = 2 the parity
+            # of x is that of e, which b's sign demands
+            w = 1 + p ** (c + 1) * rng.randrange(1, p**4)
+            b = a ** rng.randrange(1, 40) * w
+            wide = precision + c
+            for digits in (None, wide - 1, wide, wide + 7):
+                if digits is None:
+                    A, B = a, b
+                else:
+                    A, B = PAdicInt._of(p, a, digits), PAdicInt._of(p, b, digits)
+                got = outcome(solve_units, A, B, p, precision)
+                ref = outcome(
+                    lambda: solve_log_ratio(
+                        principal_part(A, p, wide), principal_part(B, p, wide), p,
+                        precision,
+                    ).x
+                )
+                if not isinstance(got, solver.UnitsSolution):
+                    assert got == ref, (a, b, p, precision, digits)
+                    refused += 1
+                elif got.verdict == "solvable":
+                    x = got.principal_exponent
+                    assert (x.residue, x.precision, x._int_value) == (
+                        ref.residue, ref.precision, ref._int_value
+                    ), (a, b, p, precision, digits)
+                    compared += 1
+    assert compared >= 40 and refused >= 10
 
 
 # ---------------------------------------------------------------------------

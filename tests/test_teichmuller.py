@@ -22,7 +22,6 @@ from padlog.teichmuller import (
     depth,
     lift_trace,
     teichmuller_lift,
-    teichmuller_set,
 )
 
 
@@ -142,17 +141,6 @@ def test_lift_base_two():
         teichmuller_lift(0, 2, 5)
     with pytest.raises(NotAUnit):
         teichmuller_lift(5, 5, 4)
-
-
-def test_teichmuller_set():
-    s = teichmuller_set(5, 6)
-    assert len(s) == 4
-    firsts = sorted(x.digits[0] for x in s)
-    assert firsts == [1, 2, 3, 4]
-    s2 = teichmuller_set(2, 5)
-    assert s2[0] == from_integer(1, 2, 5)
-    assert s2[1] == from_integer(-1, 2, 5)
-    assert s2[1].digits == (1, 1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,9 @@ from padlog.errors import (
 )
 from padlog.padic import PAdicInt, ValuationBound, from_integer
 from padlog.residue import _vp
-from padlog.translog import (
-    PrincipalUnit,
-    as_principal,
-    factorial_valuation,
-    padic_exp,
-    padic_log,
-    padic_pow,
-    power_u1_to_uk,
-)
+from padlog.translog import padic_exp, padic_log, padic_pow
+
+from oracles import factorial_valuation
 
 
 def rational_mod(q, p, K):
@@ -464,26 +458,3 @@ def test_padic_pow_negative_like_exponent():
     a = from_integer(8, p, K)
     x = from_integer(-1, p, K)
     assert padic_pow(a, x) == a.invert_unit()
-
-
-def test_power_u1_to_uk():
-    p, K = 5, 10
-    a = from_integer(6, p, K)
-    for k in (1, 2, 3):
-        out = power_u1_to_uk(a, k)
-        assert out.to_int() % p**k == 1
-        assert out.to_int() == pow(6, p ** (k - 1), p**K)
-    with pytest.raises(NotPrincipalUnit):
-        power_u1_to_uk(from_integer(2, 5, 6), 2)
-
-
-def test_as_principal():
-    u = from_integer(26, 5, 8)
-    w = as_principal(u)
-    assert isinstance(w, PrincipalUnit)
-    assert w.level == 2
-    assert as_principal(u, 1).level == 1
-    with pytest.raises(NotPrincipalUnit):
-        as_principal(u, 3)
-    with pytest.raises(NotPrincipalUnit):
-        as_principal(from_integer(2, 5, 8))
