@@ -34,22 +34,24 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 
 from .errors import AIsOne, NotInRange, PadlogError, UnknownTable, UnsolvableError
-from .padic import render_power_sum
+from .padic import digit_csv, render_power_sum
 from .primroot import all_stable_roots
 from .quotient import power_map_report
 from .residue import (
     PRINTED_EXPONENT_DIGITS,
+    PROOT_THROUGH_CAP,
     _is_prime,
     _require_prime,
     group_structure,
     order_profile,
 )
 from .solver import (
-    _digits_pinned,
+    _digits_pinned_at,
     _limit_trace,
     _split,
     solve_by_lifting,
@@ -64,6 +66,13 @@ EX_UNSOLVABLE = 2
 EX_UNDETERMINED = 3
 EX_USAGE = 64
 EX_DOMAIN = 65
+
+#: the exit code of each dlog verdict
+VERDICT_EXIT = {
+    "solvable": EX_OK,
+    "unsolvable": EX_UNSOLVABLE,
+    "undetermined": EX_UNDETERMINED,
+}
 
 #: the lift and units routes refuse a run whose exponents may reach this
 _PRINT_LIMIT = 10**PRINTED_EXPONENT_DIGITS
@@ -95,12 +104,15 @@ class _Parser(argparse.ArgumentParser):
 # output plumbing
 
 
+def _encode(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(args, records, human_lines):
     """Print the records as JSON lines, or the human lines.  A record that
     is already a string is a pre-encoded JSON line and is printed as is."""
     if args.format == "json":
-        encode = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-        lines = [r if isinstance(r, str) else encode(r) for r in records]
+        lines = [r if isinstance(r, str) else _encode(r) for r in records]
     else:
         lines = list(human_lines)
     try:
@@ -113,8 +125,19 @@ def _emit(args, records, human_lines):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _csv(digits):
-    return ",".join(str(d) for d in digits)
+def _csv(digits, p):
+    """The digit text of a human line, looked up by name so that a test
+    can check that a JSON run builds none."""
+    return digit_csv(digits, p)
+
+
+def _with_digits(record, digits, p):
+    """``record`` with a "digits" array, as its JSON line.  The array is
+    the bulk digit text (json.dumps writes an array one element at a
+    time), put in place of a null: ``"digits":null`` can only be the key,
+    since a JSON string escapes every quote inside it."""
+    line = _encode({**record, "digits": None})
+    return line.replace('"digits":null', '"digits":[%s]' % digit_csv(digits, p), 1)
 
 
 def _bracket(factors):
@@ -141,7 +164,7 @@ def _lift_levels(a, p, want_digits, split):
     if verdict.verdict == "unsolvable":
         return verdict.failing_level
     n = want_digits + 2
-    if da.is_infinite or _digits_pinned(n, a, p, da.amount)[-1] >= want_digits:
+    if da.is_infinite or _digits_pinned_at(n, a, p, da.amount) >= want_digits:
         return n
     return want_digits + da.amount
 
@@ -149,15 +172,15 @@ def _lift_levels(a, p, want_digits, split):
 def _lift_lines(trace, rows):
     """One JSON line per lifting row, with the prefix of digits it pins.
 
-    The digits are joined once and each line slices its prefix up to a
+    The digit text is written once and each line slices its prefix up to a
     recorded comma offset, so the lines cost time linear in their length.
     Each equals the row's record {"digits", "n", "verdict", "x_n"} dumped
     with sorted keys and fixed separators.
     """
-    texts = [str(d) for d in trace.digits]
-    joined = ",".join(texts)
-    # the first k digits end where the k-th comma (or the string) does
-    ends = [0, *(end - 1 for end in itertools.accumulate(len(t) + 1 for t in texts))]
+    joined = digit_csv(trace.digits, trace.p)
+    # the first k >= 1 digits end at their lengths plus k - 1 commas
+    lengths = itertools.accumulate(map(len, joined.split(",")))
+    ends = [0, *map(operator.add, lengths, itertools.count())]
     return [
         '{"digits":[%s],"n":%d,"verdict":"solvable","x_n":%d}'
         % (joined[: ends[row.digit_count]], row.n, row.x_n)
@@ -169,14 +192,12 @@ def _dlog_lift(args):
     split = _split(args.a, args.b, args.p)
     levels = _lift_levels(args.a, args.p, args.N, split)
     trace = _limit_trace(args.a, args.b, args.p, levels, split)
-    digits = list(trace.digits[: args.N])
+    digits = trace.digits[: args.N]
     power_sum = render_power_sum(digits, args.p)
-    solvable = trace.verdict == "solvable"
     # only the chosen format's lines: the row lines cost about as much as
     # the trace, and the human ones join every digit
     if args.format == "json":
         summary = {
-            "digits": digits,
             "failing_level": trace.failing_level,
             "p": args.p,
             "power_sum": power_sum,
@@ -184,23 +205,25 @@ def _dlog_lift(args):
             "verdict": trace.verdict,
             "x": trace.x,
         }
+        summary = _with_digits(summary, digits, args.p)
         _emit(args, [*_lift_lines(trace, trace.rows), summary], [])
     else:
         human = [
             "n=%-3d x_n=%-12d order=%d" % (row.n, row.x_n, row.order)
             for row in trace.rows
         ]
-        if solvable:
+        if trace.verdict == "solvable":
             if digits:
-                human.append("x = %s@%d^%d" % (_csv(digits), args.p, len(digits)))
+                csv = _csv(digits, args.p)
+                human.append("x = %s@%d^%d" % (csv, args.p, len(digits)))
                 human.append("  = %s" % power_sum)
             human.append("x_n -> %d, verdict: solvable" % trace.x)
         else:
             if digits:
-                human.append("pinned digits: %s" % _csv(digits))
+                human.append("pinned digits: %s" % _csv(digits, args.p))
             human.append("verdict: unsolvable at level %d" % trace.failing_level)
         _emit(args, [], human)
-    return EX_OK if solvable else EX_UNSOLVABLE
+    return VERDICT_EXIT[trace.verdict]
 
 
 def _dlog_log(args):
@@ -211,16 +234,15 @@ def _dlog_log(args):
     if args.format == "json":
         record = {
             "depth_a": result.depth_a,
-            "digits": list(digits),
             "p": args.p,
             "power_sum": power_sum,
             "precision": len(digits),
             "verdict": "solvable",
         }
-        _emit(args, [record], [])
+        _emit(args, [_with_digits(record, digits, args.p)], [])
     else:
         human = [
-            "x = %s@%d^%d" % (_csv(digits), args.p, len(digits)),
+            "x = %s@%d^%d" % (_csv(digits, args.p), args.p, len(digits)),
             "  = %s" % power_sum,
             "depth(a) = %d, guard digits spent = %d"
             % (result.depth_a, result.precision_loss),
@@ -232,14 +254,12 @@ def _dlog_log(args):
 def _dlog_units(args):
     sol = solve_units(args.a, args.b, args.p, args.N)
     principal = (
-        list(sol.principal_exponent.digits)
-        if sol.principal_exponent is not None
-        else None
+        sol.principal_exponent.digits if sol.principal_exponent is not None else None
     )
     if args.format == "json":
         record = {
             "depth_a": sol.depth_a,
-            "digits": principal,
+            "digits": None,
             "p": args.p,
             "precision": sol.precision,
             "reason": sol.reason,
@@ -248,6 +268,8 @@ def _dlog_units(args):
             "verdict": sol.verdict,
             "x": sol.x,
         }
+        if principal is not None:
+            record = _with_digits(record, principal, args.p)
         _emit(args, [record], [])
     else:
         human = []
@@ -256,14 +278,14 @@ def _dlog_units(args):
                 "torsion: x = %d (mod %d)" % (sol.torsion_residue, sol.torsion_modulus)
             )
         if principal is not None:
-            human.append("principal exponent digits: %s" % _csv(principal))
+            human.append("principal exponent digits: %s" % _csv(principal, args.p))
         if sol.x is not None:
             human.append("x = %d" % sol.x)
         human.append("verdict: %s" % sol.verdict)
         if sol.reason:
             human.append("reason: %s" % sol.reason)
         _emit(args, [], human)
-    return EX_OK if sol.verdict == "solvable" else EX_UNDETERMINED
+    return VERDICT_EXIT[sol.verdict]
 
 
 def _may_print_too_long(p, N):
@@ -304,7 +326,7 @@ def cmd_dlog(args):
         }
         human = ["verdict: unsolvable (%s)" % exc]
         _emit(args, [record], human)
-        return EX_UNSOLVABLE
+        return VERDICT_EXIT["unsolvable"]
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +336,13 @@ def cmd_dlog(args):
 def cmd_teich(args):
     if not 1 <= args.a0 <= args.p - 1:
         raise NotInRange("a0 must lie in [1, p-1], got %d" % args.a0)
-    lift = teichmuller_lift(args.a0, args.p, args.N)
-    digits = list(lift.digits)
-    record = {
-        "a0": args.a0,
-        "digits": digits,
-        "p": args.p,
-        "precision": args.N,
-    }
-    human = [_csv(digits), "= %s" % render_power_sum(digits, args.p)]
-    _emit(args, [record], human)
+    digits = teichmuller_lift(args.a0, args.p, args.N).digits
+    if args.format == "json":
+        record = {"a0": args.a0, "p": args.p, "precision": args.N}
+        _emit(args, [_with_digits(record, digits, args.p)], [])
+    else:
+        human = [_csv(digits, args.p), "= %s" % render_power_sum(digits, args.p)]
+        _emit(args, [], human)
     return EX_OK
 
 
@@ -341,6 +360,8 @@ def cmd_proot(args):
     last = args.through if args.through is not None else args.p
     if last < args.p:
         raise NotInRange("--through must be >= p, got %d < %d" % (last, args.p))
+    if args.through is not None and last > PROOT_THROUGH_CAP:
+        raise NotInRange("--through is at most %d, got %d" % (PROOT_THROUGH_CAP, last))
     # a single p goes to all_stable_roots, which refuses one that is not prime
     primes = [args.p] if args.through is None else filter(_is_prime, range(args.p, last + 1))
     records, human = _proot_rows(primes, full=args.full)

@@ -46,6 +46,11 @@ CENSUS_LIMIT = 500
 #: p^(N + 2), so they refuse a run with p^(N + 2) > 10^this before solving;
 #: the log route prints digits only and has no such cap
 PRINTED_EXPONENT_DIGITS = 4300
+#: largest bound `padlog proot --through` lists to: each prime q of the
+#: range costs O(q) and prints about q/4 roots, so time and output grow as
+#: the square of the bound (from 3 to this bound, 7.6 MB of output and
+#: about 5 s on a 2-vCPU x86 host)
+PROOT_THROUGH_CAP = 10**4
 
 
 def _cap(default):

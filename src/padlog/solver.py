@@ -181,24 +181,24 @@ def _trace_digits(rows, p):
     return _digits_simple(last.x_n, p, last.digit_count) if last.digit_count else ()
 
 
-def _digits_pinned(n_max, a, p, depth):
-    """v_p(ord_n / ord_1) for n = 1..n_max: how many digits of the limit
-    each level pins.
+def _digits_pinned_at(n, a, p, depth):
+    """v_p(ord_n / ord_1): how many digits of the limit level n pins.
 
     By the order law the order of a mod p^n stays at its level-1 value up
     to level depth(a) and gains one factor p per level above it.  At p = 2
     and a = 3 mod 4 the sign doubles the order from level 2 on, so every
     level above the first pins at least one digit.
     """
-    sign = 1 if p == 2 and a % 4 == 3 else 0
-    return [0, *(max(sign, n - depth) for n in range(2, n_max + 1))]
+    if n == 1:
+        return 0
+    return max(1 if p == 2 and a % 4 == 3 else 0, n - depth)
 
 
 def _limit_trace(a, b, p, n_max, split=None):
     """``solve_by_lifting(a, b, p, n_max)``, read from the limit instead of
     climbed.  ``split`` is ``_split(a, b, p)``, when the caller has it.
 
-    Level n has order ord_n = ord_1 * p^k, with k its ``_digits_pinned``
+    Level n has order ord_n = ord_1 * p^k, with k its ``_digits_pinned_at``
     count and ord_1 the order m of a mod p (1 at p = 2).  Its smallest
     positive solution x_n is the canonical residue X of ``solve_units``
     reduced mod ord_n, or ord_n when that is 0.  X is known mod m * p^k
@@ -213,7 +213,7 @@ def _limit_trace(a, b, p, n_max, split=None):
         return solve_by_lifting(a, b, p, min(n_max, verdict.failing_level))
     if da.is_infinite:
         return solve_by_lifting(a, b, p, n_max)
-    pinned = _digits_pinned(n_max, a, p, da.amount)
+    pinned = [_digits_pinned_at(n, a, p, da.amount) for n in range(1, n_max + 1)]
     x = _solve_split_units(a, b, p, max(1, pinned[-1]), split).x
     # orders[k] = ord_1 * p^k and xs[k] = x_n at the levels that pin k digits
     first = 1 if p == 2 else m
@@ -262,10 +262,6 @@ class ExistenceVerdict:
     verdict: str  # "solvable" | "unsolvable" | "undetermined"
     reason: str
     failing_level: int | None = None
-
-    @property
-    def exit_style(self):
-        return {"solvable": 0, "unsolvable": 2, "undetermined": 3}[self.verdict]
 
 
 def _depth_comparison_verdict(da, db):

@@ -1,4 +1,5 @@
-"""Enumeration oracles shared by the tests; no product path calls them."""
+"""Enumeration and one-digit-at-a-time oracles shared by the tests; no
+product path calls them."""
 
 import math
 
@@ -43,3 +44,66 @@ def subgroup_contains(a, b, p, n):
     s = b if b % 4 == 1 else b * pow(a, -1, m) % m
     h = order_mod(a, m) if a % 4 == 1 else order_mod(a, m) // 2
     return s % 4 == 1 and pow(s, h, m) == 1
+
+
+# ---------------------------------------------------------------------------
+# base-p digits, one digit at a time
+
+
+def digits_per_digit(value, base, n):
+    """The n least-significant base digits of value mod base^n, one
+    division each."""
+    value %= base**n
+    out = []
+    for _ in range(n):
+        out.append(value % base)
+        value //= base
+    return tuple(out)
+
+
+def residue_per_digit(digits, base):
+    """sum d_i base^i of least-significant-first digits, by Horner's rule."""
+    residue = 0
+    for d in reversed(digits):
+        residue = residue * base + d
+    return residue
+
+
+def power_sum_per_digit(digits, base):
+    """The handwritten form ``1 + 2 + 2^3``, one term per nonzero digit."""
+    terms = []
+    for i, d in enumerate(digits):
+        if d == 0:
+            continue
+        if i == 0:
+            terms.append(str(d))
+        else:
+            pw = "%d^%d" % (base, i) if i > 1 else str(base)
+            terms.append(pw if d == 1 else "%d*%s" % (d, pw))
+    return " + ".join(terms) if terms else "0"
+
+
+def parse_per_digit(text):
+    """(base, precision, residue) of ``d,d,...@p^N`` text: int() of each
+    digit text, the digit checks of ``PAdicInt``, then Horner's rule.
+    Raises what the parser raises, with the same message."""
+    text = text.strip()
+    if "@" not in text:
+        raise ValueError("expected digits@base^precision, got %r" % text)
+    digit_part, base_part = text.split("@", 1)
+    if "^" not in base_part:
+        raise ValueError("expected base^precision after '@' in %r" % text)
+    base_text, prec_text = base_part.split("^", 1)
+    base, precision = int(base_text), int(prec_text)
+    digits = digit_part.split(",")
+    if len(digits) != precision:
+        raise ValueError(
+            "digit count %d does not match precision %d" % (len(digits), precision)
+        )
+    if base < 2:
+        raise ValueError("base must be an integer >= 2")
+    digits = tuple(map(int, digits))
+    if min(digits) < 0 or max(digits) >= base:
+        d = next(d for d in reversed(digits) if not 0 <= d < base)
+        raise ValueError("digit %d out of range for base %d" % (d, base))
+    return base, precision, residue_per_digit(digits, base)

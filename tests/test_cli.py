@@ -24,6 +24,7 @@ from padlog.cli import (
     EX_UNSOLVABLE,
     EX_USAGE,
     TABLES,
+    VERDICT_EXIT,
     _lift_lines,
     build_parser,
     main,
@@ -148,6 +149,21 @@ def test_proot_single_and_range(capsys):
     assert out.splitlines() == ["5: 2 3"]
 
 
+def test_proot_refuses_a_range_past_its_cap(capsys):
+    # the range costs about the square of its bound in time and output;
+    # before the cap, --through 100000000 ran for minutes
+    cap = cli.PROOT_THROUGH_CAP
+    code, out, err = run_cli(["proot", "-p", "5", "--through", "100000000"], capsys)
+    assert (code, out) == (EX_DOMAIN, "")
+    assert err == "error (not-in-range): --through is at most %d, got 100000000\n" % cap
+    argv = ["proot", "-p", "5", "--through", str(cap + 1), "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EX_DOMAIN, "") and "not-in-range" in err
+    code, out, err = run_cli(["proot", "-p", "9973", "--through", str(cap)], capsys)
+    assert (code, err) == (EX_OK, "")
+    assert [line.split(":")[0] for line in out.splitlines()] == ["9973"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -216,7 +232,7 @@ def test_dlog_exit_codes_follow_check_existence(p, capsys):
                     argv = ["dlog", "-p", str(p), "-a", str(a), "-b", str(b), "-N", n,
                             "--method", method, "--format", "json"]
                     code, out, _ = run_cli(argv, capsys)
-                    assert code == want.exit_style, (a, b, p, method, n)
+                    assert code == VERDICT_EXIT[want.verdict], (a, b, p, method, n)
                     if code == EX_UNSOLVABLE:
                         level = json_rows(out)[-1]["failing_level"]
                         assert level == want.failing_level, (a, b, p, method, n)
@@ -283,6 +299,23 @@ def test_lift_lines_are_the_rows_dumped_as_json(a, b, p, n_max):
     ]
     assert _lift_lines(trace, trace.rows) == want
     assert _lift_lines(trace, trace.rows[2:]) == want[2:]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"a0": 3, "p": 7, "precision": 4},
+        {"depth_a": None, "p": 11, "reason": '"digits":null', "x": 5},
+        {"p": 101, "power_sum": "0", "verdict": "solvable"},
+    ],
+)
+@pytest.mark.parametrize("digits", [(), (0,), (6, 0, 1, 5), (10, 0, 3), (100, 7, 55)])
+def test_with_digits_is_the_record_dumped_as_json(record, digits):
+    p = max([record["p"], *(d + 1 for d in digits)])
+    want = json.dumps(
+        {**record, "digits": list(digits)}, sort_keys=True, separators=(",", ":")
+    )
+    assert cli._with_digits(record, digits, p) == want
 
 
 def test_dlog_beyond_the_baby_step_cap_is_65(capsys):

@@ -6,6 +6,7 @@ before the library call, then compared.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,22 @@ from padlog.errors import (
     NotPrime,
 )
 from padlog.padic import (
+    _TABLE_ENTRIES,
     PAdicInt,
     ValuationBound,
     _digits_simple,
+    _from_digits,
+    digit_csv,
     from_integer,
     parse_padic,
     render_power_sum,
+)
+
+from oracles import (
+    digits_per_digit,
+    parse_per_digit,
+    power_sum_per_digit,
+    residue_per_digit,
 )
 
 
@@ -57,6 +68,13 @@ def test_digit_range_is_validated():
         PAdicInt(1, [0])
     with pytest.raises(ValueError):
         PAdicInt(5, [])
+
+
+@pytest.mark.parametrize("base", [1, 0, -7])
+def test_from_integer_refuses_a_base_below_two(base):
+    # base 1 would also ask for a digit table with no largest width
+    with pytest.raises(ValueError, match="base must be an integer >= 2"):
+        from_integer(5, base, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +298,7 @@ def test_ultrametric_on_exact_valuations():
 
 
 # ---------------------------------------------------------------------------
-# unit_factor / reduce_mod
+# unit_factor
 
 
 def test_unit_factor_of_12_base2():
@@ -321,25 +339,6 @@ def test_unit_factor_roundtrip_reconstructs_digits():
 def test_unit_factor_rejects_all_zero_window():
     with pytest.raises(IndeterminateValuation):
         PAdicInt(5, [0, 0, 0]).unit_factor()
-
-
-def test_reduce_mod_level2():
-    assert PAdicInt(7, [5, 5, 3, 2]).reduce_mod(2) == 40
-
-
-def test_reduce_mod_full_precision_recovers_873():
-    assert from_integer(873, 7, 4).reduce_mod(4) == 873
-
-
-def test_reduce_mod_projective_compatibility():
-    x = from_integer(123456, 7, 7)
-    for m in range(1, 7):
-        assert x.reduce_mod(m + 1) % 7**m == x.reduce_mod(m)
-
-
-def test_reduce_mod_rejects_excess_level():
-    with pytest.raises(InsufficientPrecision):
-        from_integer(1, 5, 3).reduce_mod(4)
 
 
 # ---------------------------------------------------------------------------
@@ -409,43 +408,141 @@ def test_power_sum_rendering():
 
 
 # ---------------------------------------------------------------------------
-# radix conversion against the one-digit-at-a-time loop
+# radix conversion against the one-digit-at-a-time oracles
+
+CONVERSION_BASES = [2, 3, 5, 7, 10, 11, 36, 37, 101, 10007]
 
 
-def naive_digits(value, base, n):
-    out = []
-    for _ in range(n):
-        out.append(value % base)
-        value //= base
-    return tuple(out)
+def table_width(base):
+    """L, the digits a leaf reads at a time from the base's digit table."""
+    width = 1
+    while base ** (width + 1) <= _TABLE_ENTRIES:
+        width += 1
+    return width
 
 
-def naive_residue(digits, base):
-    residue = 0
-    for d in reversed(digits):
-        residue = residue * base + d
-    return residue
+def check_conversions(value, base, n):
+    """Every conversion of value mod base^n against the per-digit oracles."""
+    want = digits_per_digit(value, base, n)
+    digits = _digits_simple(value, base, n)
+    assert digits == want
+    residue = residue_per_digit(want, base)
+    assert _from_digits(want, base) == residue
+    x = PAdicInt(base, digits)
+    assert x.residue == residue and x.digits == want
+    assert render_power_sum(digits, base) == power_sum_per_digit(want, base)
+    assert digit_csv(digits, base) == ",".join(map(str, want))
+    y = parse_padic(x.format_digits())
+    assert (y.base, y.precision, y.residue) == (base, n, residue)
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 1000, 4097])
-@pytest.mark.parametrize("base", [2, 3, 7, 101])
+@pytest.mark.parametrize("n", [1, 12, 13, 31, 32, 33, 1000, 4097])
+@pytest.mark.parametrize("base", CONVERSION_BASES)
 def test_radix_conversion_matches_naive_loop(base, n):
     rng = random.Random(base * 10007 + n)
     m = base**n
-    # random values, the extremes, and values with long runs of zeros and
-    # top digits at the split points
+    # random values, the extremes, values with long runs of zeros and top
+    # digits at the split points, and negative integers
     values = [rng.randrange(m) for _ in range(3)]
     values += [0, 1, m - 1, base ** (n // 2), m - base ** (n // 3)]
+    values += [-1, -rng.randrange(m), -(m + 5)]
     for value in values:
-        digits = _digits_simple(value, base, n)
-        assert digits == naive_digits(value, base, n)
-        assert len(digits) == n
-        x = PAdicInt(base, digits)
-        assert x.residue == naive_residue(digits, base) == value
-        assert x.digits == digits
-    # values beyond base^n and negative values are reduced first
+        check_conversions(value, base, n)
     assert _digits_simple(-1, base, n) == (base - 1,) * n
-    assert _digits_simple(m + 5, base, n) == naive_digits(5, base, n)
+    assert _digits_simple(m + 5, base, n) == digits_per_digit(5, base, n)
+
+
+@pytest.mark.parametrize(
+    "base", [b for b in CONVERSION_BASES if b * b <= _TABLE_ENTRIES]
+)
+def test_table_leaves_match_the_oracle_at_every_chunk_edge(base):
+    # a leaf of up to 32 digits reads ceil(n / L) table chunks and keeps n
+    # digits; every leaf length and every length around a multiple of L
+    rng = random.Random(base)
+    width = table_width(base)
+    lengths = set(range(33, 66))
+    lengths |= {64 + k * width + e for k in range(1, 5) for e in (-1, 0, 1)}
+    for n in sorted(lengths):
+        for value in (rng.randrange(base**n), base**n - 1, base ** (n - 1)):
+            check_conversions(value, base, n)
+
+
+@pytest.mark.parametrize("base", [7, 10, 36])
+def test_digit_text_past_the_int_conversion_limit(base):
+    # int() refuses more than sys.get_int_max_str_digits() digits in a
+    # base that is not a power of two, so long texts go in chunks
+    rng = random.Random(base)
+    limit = sys.get_int_max_str_digits()
+    for n in (limit, limit + 1):
+        check_conversions(rng.randrange(base**n), base, n)
+    old = limit
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in (639, 640, 641, 1280, 1281, 2000):
+            check_conversions(rng.randrange(base**n), base, n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from(CONVERSION_BASES),
+    z=st.integers(-(10**400), 10**400),
+    n=st.integers(1, 300),
+)
+def test_format_then_parse_round_trips(base, z, n):
+    x = from_integer(z, base, n)
+    y = parse_padic(x.format_digits())
+    assert y == x and (y.base, y.precision, y.residue) == (base, n, x.residue)
+
+
+MALFORMED = [
+    "5,5,3,7@7^4",  # a digit equal to the base
+    "5,9,3,2@7^4",
+    "z,1@36^2",
+    "5,_,3@7^3",  # int() takes underscores between digits, not alone
+    "5_0,1@7^2",
+    "1_0,1@11^2",
+    "5, 5,3@7^3",  # int() takes spaces around a digit
+    " 5,5 @ 7^2",
+    "5,5,3 ,2@7^4",
+    "-1,2@7^2",
+    "+3,2@7^2",
+    "10,2@7^2",  # digits of more than one character
+    "10,2@11^2",
+    "36,0@37^2",
+    "100,5@101^2",
+    "5,5,3@7^4",  # counts that do not match the precision
+    "5,5@7^1",
+    "@7^1",
+    "5,,3@7^3",
+    "5,5,3,2",  # no '@' or no '^'
+    "5,5@7",
+    "1.5,2@7^2",
+    "1,2@x^2",
+    "1,2@7^y",
+    "0@1^1",  # bases int() or PAdicInt refuse
+    "0,0@0^2",
+    "1,1@37^2",  # the base is one past int()'s alphabet
+    "\u0663,1@7^2",  # a non-ASCII decimal digit
+    "1,0x1@16^2",
+    "1,0@7^2",  # and plain valid texts
+    "6,6,6,6@7^4",
+    "1,0,1@2^3",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_raises_what_the_per_digit_parser_raises(text):
+    try:
+        want = parse_per_digit(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_padic(text)
+        assert str(got.value) == str(exc)
+    else:
+        x = parse_padic(text)
+        assert (x.base, x.precision, x.residue) == want
 
 
 def test_out_of_range_digit_message_names_the_top_offender():
