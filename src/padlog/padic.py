@@ -42,7 +42,7 @@ from .errors import (
     NotAUnit,
     NotPrime,
 )
-from .residue import _is_prime, _vp
+from .residue import _inverse_mod, _is_prime, _vp
 
 
 _LEAF_DIGITS = 32  # the divide-and-conquer split stops at this many digits
@@ -380,7 +380,7 @@ class PAdicInt:
         return PAdicInt._of(self.base, pow(self.residue, e, m), self.precision, iv)
 
     def invert_unit(self):
-        """Inverse of a unit mod p^N."""
+        """Inverse of a unit mod p^N, by Newton's iteration."""
         self.require_prime_base()
         p, n = self.base, self.precision
         if self.residue % p == 0:
@@ -388,7 +388,7 @@ class PAdicInt:
         iv = None
         if self._int_value in (1, -1):
             iv = self._int_value
-        return PAdicInt._of(p, pow(self.residue, -1, p**n), n, iv)
+        return PAdicInt._of(p, _inverse_mod(self.residue, p, n), n, iv)
 
     # -- valuations --------------------------------------------------------
 

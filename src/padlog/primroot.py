@@ -16,10 +16,17 @@ from dataclasses import dataclass, field
 
 from .errors import (
     InternalInvariantError,
+    ModulusTooLarge,
     NotAPrimitiveRoot,
     WrongResidueClass,
 )
-from .residue import _factorization, _require_prime, group_structure, order_mod
+from .residue import (
+    PROOT_PRIME_CAP,
+    _factorization,
+    _require_prime,
+    group_structure,
+    order_mod,
+)
 
 
 def is_primitive_root(r, p, n=1):
@@ -208,9 +215,14 @@ def all_stable_roots(p, full=False):
     mirror pair {r, p - r} of generators is represented once, by its small
     member r <= (p - 1)/2, or by its repair p - r when r is unstable (as
     :func:`stabilize` would): if r^(p-1) = 1 mod p^2, then (p - r)^(p-1) =
-    1 + p r^(p-2) mod p^2, so p - r is stable.
+    1 + p r^(p-2) mod p^2, so p - r is stable.  The search costs O(p) time
+    and a p-byte array, so p above PROOT_PRIME_CAP raises ModulusTooLarge.
     """
     _require_prime(p)
+    if p > PROOT_PRIME_CAP:
+        raise ModulusTooLarge(
+            "stable roots are listed for primes up to %d, got %d" % (PROOT_PRIME_CAP, p)
+        )
     if p == 2:
         return [1]
     g = _smallest_generator(p)

@@ -22,7 +22,9 @@ only a truncated ``PAdicInt`` whose digits hide a needed depth comes back
   otherwise glues the torsion residue of x to the principal exponent
   log(b2) / log(a2), taken on residues with depth(a) from the split.
 * ``solve_log_ratio`` divides logarithms of principal units, with as many
-  guard digits as depth(a).
+  guard digits as depth(a).  The division, shared with ``solve_units``, is
+  exact by p^depth(a) and then one Newton inverse mod p^precision of the
+  unit part of log a (``residue._inverse_mod``).
 * ``solution_is_unit`` compares the split's depths.
 * ``solve_by_lifting`` climbs the levels mod p, mod p^2, ... without the
   split; it is the level-by-level oracle the other routes are tested
@@ -49,7 +51,7 @@ from .errors import (
     ZeroInput,
 )
 from .padic import PAdicInt, _digits_simple
-from .residue import _dlog_mod_p, _require_prime, _vp, order_mod
+from .residue import _dlog_mod_p, _inverse_mod, _require_prime, _vp, order_mod
 from .teichmuller import _depth
 from .translog import _log_mod, padic_log
 
@@ -460,9 +462,10 @@ def solve_log_ratio(a, b, p, precision):
 
 def _log_ratio(la, lb, p, c, precision):
     """lb / la mod p^precision for log residues with la = p^c * unit and p^c
-    dividing lb (or lb 0 to working precision): one exact division."""
+    dividing lb (or lb 0 to working precision): one exact division by p^c
+    and one Newton inverse of the unit."""
     pc = p**c
-    return lb // pc * pow(la // pc, -1, p**precision)
+    return lb // pc * _inverse_mod(la // pc, p, precision)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import (
     NotPrincipalUnit,
 )
 from .padic import PAdicInt, ValuationBound
-from .residue import _require_prime, _vp, order_mod
+from .residue import _inverse_mod, _require_prime, _vp, order_mod
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def teichmuller_lift(a0, p, precision):
         k = min(2 * k, precision)
         m = p**k
         f = pow(x, p - 1, m) - 1
-        x = (x - f * pow((p - 1) * pow(x, p - 2, m), -1, m)) % m
+        x = (x - f * _inverse_mod((p - 1) * pow(x, p - 2, m), p, k)) % m
     if pow(x, p - 1, p**precision) != 1:
         raise InternalInvariantError("lift is not a root of x^%d - 1" % (p - 1))
     return PAdicInt._of(p, x, precision)

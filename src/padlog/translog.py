@@ -14,8 +14,9 @@ Scaled by D = lcm(1..T), every coefficient +-D/n is an integer of about
 1.44 T bits.  The powers w^2..w^s, s = ceil(sqrt(T)), are formed once, and
 Horner's rule in w^s runs over blocks of s terms, each block a sum of small
 multiples of the stored powers: about 2 sqrt(T) full-size products in all.
-Dividing by the p-part of D is exact, and its p-free part is inverted once
-per series.  The power costs about k log2(p) squarings; a series product,
+Dividing by the p-part of D is exact, and the inverse of its p-free part
+depends only on p, K and c, so it is taken once per series shape and
+cached.  The power costs about k log2(p) squarings; a series product,
 with its block and its reduction, measures about two squarings, so k is
 chosen to minimize k log2(p) + 4 sqrt((K + k) / (c + k)), which for k
 small against K puts c + k near (4 K / log2(p)^2)^(1/3).  At small K, a k
@@ -40,7 +41,7 @@ from .errors import (
     NotPrincipalUnit,
 )
 from .padic import PAdicInt
-from .residue import _vp
+from .residue import _inverse_mod, _vp
 
 
 def padic_exp(x, precision=None):
@@ -119,14 +120,14 @@ def _log_mod(u, p, K):
     if z == 0:
         return 0  # v(log u) = v(u - 1) >= K
     c = _vp(z, p)
-    k, T, e = _series_shape(p, K, c)
+    k, T, e, scale = _series_shape(p, K, c)
     pk = p**k
     top, ptop = K + k, pK * pk
     w = (pow(u, pk, ptop) - 1) % ptop
     if T == 1:
         return w // pk  # a one-term series is w itself
     c += k  # each p-th power deepens a principal unit by exactly one
-    D, s, blocks = _series_blocks(T)
+    _, s, blocks = _series_blocks(T)
     pe = p**e  # the p-part of D
     modulus = ptop * pe
     powers = [w]  # w^1..w^s
@@ -141,13 +142,13 @@ def _log_mod(u, p, K):
     for block in blocks:
         acc = (acc * powers[-1] + sum(map(mul, block, powers))) % m
         m *= step
-    # acc = D log(1 + w) mod p^(top + e), and D / p^e is prime to p
-    return acc // pe * pow(D // pe, -1, ptop) % ptop // pk
+    # acc = D log(1 + w) mod p^(top + e), and scale = (D / p^e)^(-1) mod ptop
+    return acc // pe * scale % ptop // pk
 
 
 @functools.lru_cache(maxsize=1024)
 def _series_shape(p, K, c):
-    """(k, T, e) for log mod p^K of a unit u with v(u - 1) = c, cached.
+    """(k, T, e, scale) for log mod p^K of a unit u with v(u - 1) = c, cached.
 
     k minimizes the cost model of the module docstring, its minimum
     rounded up (at small K a squaring costs less than its share), unless
@@ -155,7 +156,8 @@ def _series_shape(p, K, c):
     ONE_TERM_SQUARINGS squarings.  T counts the terms w^n / n that survive
     mod p^(K + k): w has depth c + k, and the first n with
     n (c + k) - floor_log(n) >= K + k lies at or above (K + k) / (c + k).
-    e = v_p(lcm(1..T)).
+    e = v_p(lcm(1..T)), and scale = (lcm(1..T) / p^e)^(-1) mod p^(K + k),
+    the one division of the series (1 when T = 1, where there is none).
     """
     k = max(0, K - 2 * c + (p == 2))  # w^2 / 2 vanishes from this k on
     if k * math.log2(p) > ONE_TERM_SQUARINGS:
@@ -164,7 +166,9 @@ def _series_shape(p, K, c):
     n = -(-top // c)
     while n * c - _floor_log(n, p) < top:
         n += 1
-    return k, n - 1, _floor_log(n - 1, p)
+    T, e = n - 1, _floor_log(n - 1, p)
+    scale = _inverse_mod(_series_blocks(T)[0] // p**e, p, top) if T > 1 else 1
+    return k, T, e, scale
 
 
 @functools.lru_cache(maxsize=32)

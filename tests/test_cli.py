@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padlog import cli, solver
+from padlog import cli, primroot, solver
 from padlog.cli import (
     EX_DOMAIN,
     EX_OK,
@@ -162,6 +162,20 @@ def test_proot_refuses_a_range_past_its_cap(capsys):
     code, out, err = run_cli(["proot", "-p", "9973", "--through", str(cap)], capsys)
     assert (code, err) == (EX_OK, "")
     assert [line.split(":")[0] for line in out.splitlines()] == ["9973"]
+
+
+def test_proot_refuses_a_prime_past_its_cap(monkeypatch, capsys):
+    # one prime costs O(p) time and memory; the cap is lowered here so no
+    # large p runs
+    monkeypatch.setattr(primroot, "PROOT_PRIME_CAP", 43)
+    code, out, err = run_cli(["proot", "-p", "47"], capsys)
+    assert (code, out) == (EX_DOMAIN, "")
+    assert err == "error (modulus-too-large): stable roots are listed for primes up to 43, got 47\n"
+    code, out, err = run_cli(["proot", "-p", "47", "--format", "json"], capsys)
+    assert (code, out) == (EX_DOMAIN, "") and "modulus-too-large" in err
+    code, out, err = run_cli(["proot", "-p", "43"], capsys)
+    assert (code, err) == (EX_OK, "")
+    assert out.splitlines() == ["43: 3 5 12 18 20 26 28 29 30 33 34"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padlog import padic
 from padlog.errors import (
     BaseMismatch,
     IndeterminateValuation,
@@ -246,6 +247,18 @@ def test_invert_is_involution_and_two_sided():
         assert (x * inv).digits == (1,) + (0,) * 7
         assert (inv * x).digits == (1,) + (0,) * 7
         assert inv.invert_unit().digits == x.digits
+
+
+def test_invert_is_a_newton_inverse_at_a_thousand_digits(monkeypatch):
+    calls = []
+    real = padic._inverse_mod
+    monkeypatch.setattr(padic, "_inverse_mod", lambda u, p, k: calls.append((p, k)) or real(u, p, k))
+    rng = random.Random(23)
+    for p in (2, 7, 101):
+        z = rng.randrange(p**1000) // p * p + 1
+        inv = from_integer(z, p, 1000).invert_unit()
+        assert inv.to_int() == pow(z, -1, p**1000)
+    assert calls == [(2, 1000), (7, 1000), (101, 1000)]
 
 
 def test_invert_requires_prime_base():

@@ -9,8 +9,10 @@ import math
 import pytest
 import sympy
 
+from padlog import primroot
 from padlog.errors import (
     InternalInvariantError,
+    ModulusTooLarge,
     NotAPrimitiveRoot,
     NotPrime,
     WrongResidueClass,
@@ -297,3 +299,14 @@ def test_all_stable_roots_takes_the_repair_of_stabilize():
 def test_all_stable_roots_small_edges():
     assert all_stable_roots(3) == [2]
     assert all_stable_roots(2) == [1]
+
+
+def test_all_stable_roots_refuses_a_prime_past_its_cap(monkeypatch):
+    # the search costs O(p); the cap is lowered here so no large p runs
+    monkeypatch.setattr(primroot, "PROOT_PRIME_CAP", 43)
+    assert all_stable_roots(43) == TABLE[43]
+    for full in (False, True):
+        with pytest.raises(ModulusTooLarge, match="up to 43, got 47"):
+            all_stable_roots(47, full=full)
+    with pytest.raises(NotPrime):
+        all_stable_roots(49)

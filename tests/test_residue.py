@@ -25,8 +25,10 @@ from padlog.errors import (
     NotPrime,
 )
 from padlog.residue import (
+    _INVERSE_BASE_BITS,
     AbelianStructure,
     _dlog_mod_p,
+    _inverse_mod,
     brute_dlog,
     euler_phi,
     group_structure,
@@ -332,6 +334,41 @@ def test_dlog_mod_p_caps_the_baby_steps():
         _dlog_mod_p(3, 9, p, order)
     # membership alone needs no table: 3 is a square mod p, 2 is not
     assert _dlog_mod_p(3, 2, p, order) is None
+
+
+# ---------------------------------------------------------------------------
+# _inverse_mod: Newton's iteration above a pow base case
+
+
+INVERSE_PRIMES = (2, 3, 5, 7, 11, 101, 10007)
+
+
+def _inverse_levels(p):
+    """Every k up to 100, around the base case and its first doublings, and
+    a stride to 1200."""
+    j = _INVERSE_BASE_BITS // (p - 1).bit_length() or 1
+    edges = {d * j + e for d in (1, 2, 4) for e in (-1, 0, 1)}
+    return sorted(set(range(1, 101)) | edges | set(range(101, 1201, 37)) | {1199, 1200})
+
+
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+def test_inverse_mod_is_pows_inverse(p):
+    rng = random.Random(p)
+    for k in _inverse_levels(p):
+        m = p**k
+        units = [1, m - 1, 1 + p * rng.randrange(m), rng.randrange(m) * p + rng.randrange(1, p)]
+        if k <= 100:
+            units.append(-rng.randrange(1, m) * p - 1)  # negative, and larger than m
+        for u in units:
+            assert _inverse_mod(u, p, k) == pow(u, -1, m), (p, k, u)
+
+
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+def test_inverse_mod_refuses_a_non_unit(p):
+    for k in (1, 5, 40, 300):
+        for u in (0, p, p**k, 3 * p ** (k + 1)):
+            with pytest.raises(ValueError):
+                _inverse_mod(u, p, k)
 
 
 # ---------------------------------------------------------------------------

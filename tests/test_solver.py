@@ -39,6 +39,21 @@ from padlog.solver import (
 from padlog.teichmuller import _depth
 
 
+@pytest.fixture
+def newton_inverses(monkeypatch):
+    """Record (p, k) of every inverse the solver takes through
+    residue._inverse_mod."""
+    calls = []
+    real = solver._inverse_mod
+
+    def counting(u, p, k):
+        calls.append((p, k))
+        return real(u, p, k)
+
+    monkeypatch.setattr(solver, "_inverse_mod", counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # solve_by_lifting: worked traces
 
@@ -790,3 +805,31 @@ def test_only_truncated_inputs_are_undetermined(a, b, p, precision):
     t = check_existence(ta, tb, p)
     if t.verdict != "undetermined":
         assert (t.verdict, t.failing_level) == (v.verdict, v.failing_level)
+
+
+# ---------------------------------------------------------------------------
+# the division by log a is one Newton inverse
+
+
+@pytest.mark.parametrize("p, a, b", [(7, 3, 2), (2, 3, -5), (101, 2, 3)])
+def test_solve_units_divides_by_a_newton_inverse(newton_inverses, p, a, b):
+    N = 1000
+    got = solve_units(a, b, p, N)
+    assert pow(a, got.x, p**N) == b % p**N
+    assert newton_inverses == [(p, N)]
+
+
+def test_solve_log_ratio_divides_by_a_newton_inverse(newton_inverses):
+    N = 1000
+    got = solve_log_ratio(8, 8**5, 7, N)
+    assert got.x.to_int() == 5
+    got = solve_log_ratio(50, 50**12 % 7**1100, 7, N)  # depth(50) = 2
+    assert got.x.to_int() == 12
+    assert newton_inverses == [(7, N), (7, N)]
+
+
+def test_cli_lift_rows_divide_by_a_newton_inverse(newton_inverses):
+    trace = _limit_trace(3, 2, 7, 1000)
+    last = trace.rows[-1]
+    assert pow(3, last.x_n, 7**1000) == 2 and last.order == 6 * 7**999
+    assert newton_inverses == [(7, 999)]  # depth(3) = 1: level 1000 pins 999 digits

@@ -345,6 +345,39 @@ def test_log_kernel_matches_plain_series_over_depths(p, K):
     assert translog._log_mod(1 + p ** max(K, least) * 3, p, K) == 0
 
 
+def _log_mod_uncached(u, p, K, monkeypatch):
+    """The log kernel with the series' inverse taken by pow at every call,
+    as before the shape cache held it."""
+    real = translog._series_shape.__wrapped__
+
+    with monkeypatch.context() as m:
+        def shape(p, K, c):
+            k, T, e, _ = real(p, K, c)
+            return k, T, e, pow(math.lcm(*range(1, T + 1)) // p**e, -1, p ** (K + k))
+
+        m.setattr(translog, "_series_shape", shape)
+        return translog._log_mod(u, p, K)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 101, 10007))
+def test_cached_series_inverse_gives_the_uncached_log(p, monkeypatch):
+    # every depth at small K, a spread of depths up to K = 1000; two units
+    # per shape, so the second reads the cached inverse
+    rng = random.Random(p + 41)
+    least = 2 if p == 2 else 1
+    cases = [(K, c) for K in range(1, 25) for c in range(least, K)]
+    for K in (50, 101, 200, 201, 499, 1000):
+        cases += [(K, c) for c in (least, least + 1, least + 4, K // 3, K - 1)]
+    for K, c in cases:
+        for _ in range(2):
+            u = _unit_at_depth(rng, p, c, K)
+            want = _log_mod_uncached(u, p, K, monkeypatch)
+            assert translog._log_mod(u, p, K) == want, (p, K, c)
+        k, T, e, scale = translog._series_shape(p, K, c)
+        if T > 1:
+            assert scale * (math.lcm(*range(1, T + 1)) // p**e) % p ** (K + k) == 1
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 101))
 def test_exp_and_log_round_trip_at_a_thousand_digits(p):
     # padic_exp's certificate reruns the log kernel at the full precision
