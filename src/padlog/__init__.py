@@ -14,7 +14,6 @@ from .errors import (
     AIsOne,
     BaseMismatch,
     DomainError,
-    IndeterminateValuation,
     InsufficientPrecision,
     InternalInvariantError,
     ModulusTooLarge,
@@ -153,7 +152,6 @@ __all__ = [
     "DomainError",
     "AIsOne",
     "BaseMismatch",
-    "IndeterminateValuation",
     "InsufficientPrecision",
     "InternalInvariantError",
     "ModulusTooLarge",

@@ -48,12 +48,6 @@ class ZeroInput(PadlogError):
     code = "zero-input"
 
 
-class IndeterminateValuation(PadlogError):
-    """All known digits vanish; the valuation exceeds the precision window."""
-
-    code = "indeterminate-valuation"
-
-
 class InsufficientPrecision(PadlogError):
     """The requested level exceeds the number of known digits."""
 

@@ -37,7 +37,6 @@ import sys
 
 from .errors import (
     BaseMismatch,
-    IndeterminateValuation,
     InsufficientPrecision,
     NotAUnit,
     NotPrime,
@@ -398,19 +397,6 @@ class PAdicInt:
         if self._int_value == 0:
             return ValuationBound.infinite()
         return ValuationBound.at_least(self.precision)
-
-    def unit_factor(self):
-        """Write x = p^e * u with u a unit; consumes e digits of precision."""
-        self.require_prime_base()
-        v = self.valuation()
-        if not v.is_exact:
-            raise IndeterminateValuation(
-                "all %d known digits vanish" % self.precision
-            )
-        e = v.amount
-        shift = self.base**e
-        iv = None if self._int_value is None else self._int_value // shift
-        return e, PAdicInt._of(self.base, self.residue // shift, self.precision - e, iv)
 
     # -- comparisons and display -------------------------------------------
 

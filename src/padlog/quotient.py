@@ -48,10 +48,6 @@ class SymbolicAbelian:
     unit_scale: int | None
     finite: AbelianStructure
 
-    @property
-    def free_rank(self):
-        return int(self.z_scale is not None) + int(self.unit_scale is not None)
-
 
 @dataclass(frozen=True)
 class PowerMapReport:

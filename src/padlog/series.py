@@ -115,9 +115,6 @@ class FormalSeries:
 
     # -- helpers -----------------------------------------------------------
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coefficients)
-
     def truncate(self, degree):
         if degree >= self.degree:
             return self

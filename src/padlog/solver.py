@@ -17,7 +17,8 @@ An int is exact, so an integer pair is always decided, at any precision;
 only a truncated ``PAdicInt`` whose digits hide a needed depth comes back
 "undetermined".  The routes:
 
-* ``check_existence`` returns the split's verdict, without the exponent.
+* ``check_existence`` returns the split's verdict, a named tuple, without
+  the exponent.
 * ``solve_units`` raises or returns "undetermined" from the split, and
   otherwise glues the torsion residue of x to the principal exponent
   log(b2) / log(a2), taken on residues with depth(a) from the split.
@@ -28,7 +29,9 @@ only a truncated ``PAdicInt`` whose digits hide a needed depth comes back
 * ``solution_is_unit`` compares the split's depths.
 * ``solve_by_lifting`` climbs the levels mod p, mod p^2, ... without the
   split; it is the level-by-level oracle the other routes are tested
-  against, and the route of the tables and ``analyze_pair``.
+  against, and the route of the tables and ``analyze_pair``.  It takes one
+  inverse mod p per call, where the order first grows, and returns its
+  trace and rows as named tuples.
 * ``_limit_trace``, the CLI's ``lift`` route, returns the same trace read
   from the ``solve_units`` limit: the order law gives each level's order,
   and x_n is the limit reduced mod that order.
@@ -97,8 +100,11 @@ class LiftingRow(NamedTuple):
     digit_count: int  # how many base-p digits of the limit this level pins
 
 
-@dataclass(frozen=True)
-class LiftingTrace:
+class LiftingTrace(NamedTuple):
+    """A climb's rows and verdict, a named tuple like its rows: it compares
+    equal to the plain tuple (a, b, p, rows, verdict, failing_level,
+    digits) and hashes like it."""
+
     a: int
     b: int
     p: int
@@ -120,11 +126,13 @@ def solve_by_lifting(a, b, p, n_max):
     x_(n-1) + j * ord_(n-1).  When the order stays, x_(n-1) alone either
     solves the level or fails it; when it grows, the Hensel digit decides:
     with a^ord_(n-1) = 1 + p^(n-1) u and b * a^(-x_(n-1)) = 1 + p^(n-1) w
-    mod p^n, the next digit is j = w / u mod p.  a^ord_(n-1) and a^x_(n-1)
-    are carried mod p^n_max, so a level costs O(log p) multiplies.  The x_n
-    are the smallest positive solutions and converge p-adically; the trace
-    records them together with the digits of the limit that each level
-    fixes.  An unsolvable level ends the climb with that level recorded.
+    mod p^n, the next digit is j = w / u mod p, and one inverse mod p,
+    taken where the order first grows, serves every level of the call.
+    a^ord_(n-1) and a^x_(n-1) are carried mod p^n_max, so a level costs
+    O(log p) multiplies.  The x_n are the smallest positive solutions and
+    converge p-adically; the trace records them together with the digits
+    of the limit that each level fixes.  An unsolvable level ends the climb
+    with that level recorded.  The trace and its rows are named tuples.
     """
     _require_prime(p)
     if n_max < 1:
@@ -136,14 +144,14 @@ def solve_by_lifting(a, b, p, n_max):
     order = order_mod(a, p)
     x = _dlog_mod_p(a, b, p, order)
     if x is None:
-        return LiftingTrace(
-            a=a, b=b, p=p, rows=(), verdict="unsolvable", failing_level=1
-        )
+        return LiftingTrace(a, b, p, (), "unsolvable", 1)
     x = x or order
-    rows = [LiftingRow(1, x, order, 0)]
+    new = tuple.__new__  # a row per level: skip the NamedTuple constructor
+    rows = [new(LiftingRow, (1, x, order, 0))]
     pinned = 0  # v_p(order): the level-1 order divides p - 1
     top, m = p**n_max, p
     a_order, a_x = pow(a, order, top), pow(a, x, top)
+    inv = None
     failing = None
     for n in range(2, n_max + 1):
         # Reduction mod p^n -> p^(n-1) has a kernel of order p (p = 2
@@ -155,24 +163,23 @@ def solve_by_lifting(a, b, p, n_max):
                 failing = n
                 break
         else:
-            # step = 1 + low * u; b - a^x = a^x * low * w (mod m)
-            u = (step - 1) // low
-            j = (b - a_x) % m // low * pow(a_x * u, -1, p) % p
+            # step = 1 + low * u; b - a^x = a^x * low * w (mod m), so
+            # j = w / u = (b - a^x) / low * (a^x * u)^(-1) mod p.  Level 1
+            # made a^x = b mod p, so (a^x * u)^(-1) = (b * u)^(-1) mod p,
+            # and u mod p never changes after the first growth: at odd p,
+            # (1 + p^k u)^p = 1 + p^(k+1) u mod p^(k+2) for k >= 1, and at
+            # p = 2 every inverse mod 2 is 1.  So one inverse serves all.
+            if inv is None:
+                inv = pow(b * ((step - 1) // low), -1, p)
+            j = (b - a_x) % m // low * inv % p
             x += j * order
             a_x = a_x * pow(a_order, j, top) % top
             a_order = pow(a_order, p, top)
             order *= p
             pinned += 1
-        rows.append(LiftingRow(n, x, order, pinned))
-    return LiftingTrace(
-        a=a,
-        b=b,
-        p=p,
-        rows=tuple(rows),
-        verdict="solvable" if failing is None else "unsolvable",
-        failing_level=failing,
-        digits=_trace_digits(rows, p),
-    )
+        rows.append(new(LiftingRow, (n, x, order, pinned)))
+    verdict = "solvable" if failing is None else "unsolvable"
+    return LiftingTrace(a, b, p, tuple(rows), verdict, failing, _trace_digits(rows, p))
 
 
 def _trace_digits(rows, p):
@@ -221,15 +228,9 @@ def _limit_trace(a, b, p, n_max, split=None):
     first = 1 if p == 2 else m
     orders = list(accumulate(repeat(p, pinned[-1]), mul, initial=first))
     xs = [x % order or order for order in orders]
-    rows = [LiftingRow(n, xs[k], orders[k], k) for n, k in enumerate(pinned, 1)]
-    return LiftingTrace(
-        a=a,
-        b=b,
-        p=p,
-        rows=tuple(rows),
-        verdict="solvable",
-        digits=_trace_digits(rows, p),
-    )
+    new = tuple.__new__
+    rows = [new(LiftingRow, (n, xs[k], orders[k], k)) for n, k in enumerate(pinned, 1)]
+    return LiftingTrace(a, b, p, tuple(rows), "solvable", None, _trace_digits(rows, p))
 
 
 def convergence_certificate(trace):
@@ -259,8 +260,9 @@ def convergence_certificate(trace):
 # existence: the one decision procedure
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(NamedTuple):
+    """The split's answer, a named tuple: ``_split`` builds one per call."""
+
     verdict: str  # "solvable" | "unsolvable" | "undetermined"
     reason: str
     failing_level: int | None = None

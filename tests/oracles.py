@@ -1,10 +1,16 @@
-"""Enumeration and one-digit-at-a-time oracles shared by the tests; no
-product path calls them."""
+"""Enumeration, one-digit-at-a-time and plain-climb oracles shared by the
+tests; no product path calls them."""
 
 import math
 
-from padlog.errors import NotCoprime
-from padlog.residue import _require_prime, order_mod, structure_from_power_counts
+from padlog.errors import NotCoprime, ZeroInput
+from padlog.residue import (
+    _dlog_mod_p,
+    _require_prime,
+    order_mod,
+    structure_from_power_counts,
+)
+from padlog.solver import LiftingRow, LiftingTrace, _classify_nonunit, _trace_digits
 
 
 def factorial_valuation(n, p):
@@ -107,3 +113,56 @@ def parse_per_digit(text):
         d = next(d for d in reversed(digits) if not 0 <= d < base)
         raise ValueError("digit %d out of range for base %d" % (d, base))
     return base, precision, residue_per_digit(digits, base)
+
+
+def climb_oracle(a, b, p, n_max):
+    """The plain climb ``solve_by_lifting`` is held to: one
+    ``pow(a^x * u, -1, p)`` at every level where the order grows, rows
+    through the NamedTuple constructor and the trace built by keyword."""
+    _require_prime(p)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if a == 0 or b == 0:
+        raise ZeroInput("0 is not a unit and has no discrete log")
+    if a % p == 0 or b % p == 0:
+        _classify_nonunit(a, b, p)
+    order = order_mod(a, p)
+    x = _dlog_mod_p(a, b, p, order)
+    if x is None:
+        return LiftingTrace(
+            a=a, b=b, p=p, rows=(), verdict="unsolvable", failing_level=1
+        )
+    x = x or order
+    rows = [LiftingRow(1, x, order, 0)]
+    pinned = 0  # v_p(order): the level-1 order divides p - 1
+    top, m = p**n_max, p
+    a_order, a_x = pow(a, order, top), pow(a, x, top)
+    failing = None
+    for n in range(2, n_max + 1):
+        # Reduction mod p^n -> p^(n-1) has a kernel of order p (p = 2
+        # included), so the order either stays or gains one factor p.
+        low, m = m, m * p
+        step = a_order % m
+        if step == 1:
+            if a_x % m != b % m:
+                failing = n
+                break
+        else:
+            # step = 1 + low * u; b - a^x = a^x * low * w (mod m)
+            u = (step - 1) // low
+            j = (b - a_x) % m // low * pow(a_x * u, -1, p) % p
+            x += j * order
+            a_x = a_x * pow(a_order, j, top) % top
+            a_order = pow(a_order, p, top)
+            order *= p
+            pinned += 1
+        rows.append(LiftingRow(n, x, order, pinned))
+    return LiftingTrace(
+        a=a,
+        b=b,
+        p=p,
+        rows=tuple(rows),
+        verdict="solvable" if failing is None else "unsolvable",
+        failing_level=failing,
+        digits=_trace_digits(rows, p),
+    )

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from padlog import padic
 from padlog.errors import (
     BaseMismatch,
-    IndeterminateValuation,
     InsufficientPrecision,
     NotAUnit,
     NotPrime,
@@ -308,50 +307,6 @@ def test_ultrametric_on_exact_valuations():
         vx_y, vx_z, vz_y = v(x - y), v(x - z), v(z - y)
         if all(b.is_exact for b in (vx_y, vx_z, vz_y)):
             assert vx_y.amount >= min(vx_z.amount, vz_y.amount)
-
-
-# ---------------------------------------------------------------------------
-# unit_factor
-
-
-def test_unit_factor_of_12_base2():
-    e, u = from_integer(12, 2, 6).unit_factor()
-    assert (e, u.to_int()) == (2, 3)
-    assert u.precision == 4
-
-
-def test_unit_factor_of_98_base7():
-    e, u = from_integer(98, 7, 5).unit_factor()
-    assert (e, u.digits[0]) == (2, 2)
-
-
-def test_unit_factor_matches_integer_factor_oracle():
-    rng = random.Random(29)
-    for p in (2, 3, 5, 7):
-        for _ in range(40):
-            k = rng.randrange(0, 4)
-            m = rng.randrange(1, 500)
-            while m % p == 0:
-                m += 1
-            e, u = from_integer(p**k * m, p, 14).unit_factor()
-            assert e == k
-            assert u.to_int() == m % p ** (14 - k)
-
-
-def test_unit_factor_roundtrip_reconstructs_digits():
-    rng = random.Random(31)
-    for _ in range(40):
-        z = rng.randrange(1, 7**9)
-        x = from_integer(z, 7, 10)
-        if not x.valuation().is_exact:
-            continue
-        e, u = x.unit_factor()
-        assert (7**e * u.to_int()) % 7 ** (10 - e) == z % 7 ** (10 - e)
-
-
-def test_unit_factor_rejects_all_zero_window():
-    with pytest.raises(IndeterminateValuation):
-        PAdicInt(5, [0, 0, 0]).unit_factor()
 
 
 # ---------------------------------------------------------------------------

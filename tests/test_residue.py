@@ -8,6 +8,7 @@ those on everything small enough to enumerate.
 import ast
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -537,6 +538,13 @@ def names_read(tree):
     return out
 
 
+def attributes_read(tree):
+    """How often a tree reads each attribute name."""
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    )
+
+
 def test_only_residue_names_the_oracles():
     # the enumeration oracles anchor tests and are no product path;
     # __init__.py re-exports them, so it is exempt
@@ -564,6 +572,14 @@ def test_every_import_is_used():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+# public methods that no product code reads, each kept for its reason
+METHODS_KEPT_UNREAD = {
+    "PAdicInt.power_sum": "the README quick start prints an exponent with it",
+    "RootCertificate.verify": "the certificate check of the exported gauss_search",
+    "ValuationBound.metric": "display only; decided with the exported leftovers",
+}
 
 
 def test_every_public_definition_is_on_a_product_path():
@@ -597,4 +613,20 @@ def test_every_public_definition_is_on_a_product_path():
         unreached += [
             (name, d) for d in defs if not d.startswith("_") and d not in reached
         ]
+    # and every public method or property of a public class is read as an
+    # attribute somewhere in the package outside its own body
+    attributes = Counter()
+    for tree in trees.values():
+        attributes.update(attributes_read(tree))
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name[0] == "_":
+                    continue
+                qualname = cls.name + "." + method.name
+                read = attributes[method.name] - attributes_read(method)[method.name]
+                if not read and qualname not in METHODS_KEPT_UNREAD:
+                    unreached.append((name, qualname))
     assert unreached == []

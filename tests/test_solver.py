@@ -38,6 +38,8 @@ from padlog.solver import (
 )
 from padlog.teichmuller import _depth
 
+from oracles import climb_oracle, subgroup_contains
+
 
 @pytest.fixture
 def newton_inverses(monkeypatch):
@@ -198,6 +200,149 @@ def test_convergence_certificate():
     assert counts == sorted(counts)
     trace2 = solve_by_lifting(9, 25, 2, 20)
     convergence_certificate(trace2)
+
+
+# ---------------------------------------------------------------------------
+# solve_by_lifting against the climb oracle: one inverse per call
+
+
+def _same_as_the_oracle(a, b, p, n_max):
+    trace = solve_by_lifting(a, b, p, n_max)
+    want = climb_oracle(a, b, p, n_max)
+    assert repr(trace) == repr(want), (a, b, p, n_max)
+    assert hash(trace) == hash(want), (a, b, p, n_max)
+    return trace
+
+
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 5), (5, 3), (7, 2)])
+def test_lifting_equals_the_climb_oracle_on_every_unit_pair(p, n):
+    units = [c for c in range(1, p**n) if c % p]
+    for a in units:
+        for b in units:
+            assert repr(solve_by_lifting(a, b, p, n)) == repr(
+                climb_oracle(a, b, p, n)
+            ), (a, b)
+
+
+@pytest.mark.parametrize("p, n", [(101, 3), (10007, 2)])
+def test_lifting_equals_the_climb_oracle_on_random_pairs(p, n):
+    rng = random.Random(p)
+    m = p**n
+    for _ in range(150):
+        a = rng.randrange(-m, m) or 1
+        if a % p == 0:
+            a += 1
+        for b in (rng.randrange(1, m), pow(a, rng.randrange(1, m), m)):
+            if b % p:
+                _same_as_the_oracle(a, b, p, n)
+
+
+def _rows_are_the_smallest_solutions(trace, a, b, p):
+    """Each row against order_mod and a^x_n = b; a failing level against
+    subgroup membership."""
+    for row in trace.rows:
+        m = p**row.n
+        assert row.order == order_mod(a, m), (a, b, row)
+        assert 1 <= row.x_n <= row.order, (a, b, row)
+        assert pow(a, row.x_n, m) == b % m, (a, b, row)
+    if trace.failing_level is not None:
+        assert not subgroup_contains(a, b, p, trace.failing_level), (a, b)
+
+
+def _teichmuller(c, p, n):
+    """The root of unity = c mod p, mod p^n."""
+    return pow(c, p ** (n - 1), p**n)
+
+
+@pytest.mark.parametrize(
+    "a, p",
+    [
+        (1 + 2 * 3**5, 3),  # depth 5: the order first grows at level 6
+        (-(1 + 3**6), 3),  # a torsion sign on top of depth 6
+        (_teichmuller(2, 5, 12) * (1 + 3 * 5**5) % 5**12, 5),  # order 4 mod 5
+        (_teichmuller(3, 7, 9) * (1 + 7**5) % 7**9, 7),
+    ],
+)
+def test_lifting_a_deep_base_at_odd_p(a, p):
+    n_max = 9
+    m = p**n_max
+    first_growth = _depth(a, p).amount + 1
+    for b in (
+        pow(a, 1234567, m),
+        pow(a, 98765, m) * (1 + p**first_growth),  # one digit too shallow
+        pow(a, 7, m) * (1 + p ** (first_growth - 2)),  # fails below growth
+    ):
+        trace = _same_as_the_oracle(a, b, p, n_max)
+        _rows_are_the_smallest_solutions(trace, a, b, p)
+    trace = solve_by_lifting(a, pow(a, 1234567, m), p, n_max)
+    assert [r.digit_count for r in trace.rows] == [
+        max(0, n - first_growth + 1) for n in range(1, n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("a", [3, 7, -17, 4095, -1 - 2**7])
+def test_lifting_at_p2_with_a_three_mod_four(a):
+    # the sign grows the order at level 2; the order then stays up to
+    # depth(a^2), so the reused inverse must survive the stays in between
+    assert a % 4 == 3
+    for b in (pow(a, 12345, 2**13), pow(a, 4321, 2**13), 3, 5, -5, 2**13 - 1):
+        trace = _same_as_the_oracle(a, b, 2, 13)
+        _rows_are_the_smallest_solutions(trace, a, b, 2)
+
+
+@pytest.mark.parametrize("a", [9, -7, 17, 1 + 3 * 2**6])
+def test_lifting_at_p2_with_a_one_mod_four_and_deep(a):
+    assert a % 4 == 1 and _depth(a, 2).amount >= 3
+    for b in (pow(a, 12345, 2**13), pow(a, 77, 2**13) * 5, -pow(a, 3, 2**13)):
+        trace = _same_as_the_oracle(a, b, 2, 13)
+        _rows_are_the_smallest_solutions(trace, a, b, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_lifting_minus_one_never_grows_past_its_sign(p):
+    for b in (-1, 1, p**4 - 1, p**2 + 1):
+        trace = _same_as_the_oracle(-1, b, p, 6)
+        _rows_are_the_smallest_solutions(trace, -1, b, p)
+        assert {r.order for r in trace.rows[1:]} <= {2}
+    assert solve_by_lifting(-1, p**4 - 1, p, 6).failing_level == 5
+    assert solve_by_lifting(-1, p**2 + 1, p, 6).failing_level == 3
+
+
+@pytest.mark.parametrize(
+    "a, b, p, level",
+    [
+        (10, 4, 3, 2),  # the order stays at level 2 and x_1 fails it
+        (1 + 2 * 3**5, 1 + 3**2, 3, 3),
+        (-17, 3, 2, 3),  # after the sign grew the order at level 2
+        (7, pow(7, 5, 2**13) * 9, 2, 4),  # after a growth and a stay
+        (_teichmuller(2, 5, 9) * (1 + 5**3), _teichmuller(3, 5, 9) * 26, 5, 3),
+    ],
+)
+def test_lifting_a_pair_that_fails_above_level_one(a, b, p, level):
+    trace = _same_as_the_oracle(a, b, p, 9)
+    assert (trace.verdict, trace.failing_level) == ("unsolvable", level)
+    assert len(trace.rows) == level - 1
+    _rows_are_the_smallest_solutions(trace, a, b, p)
+
+
+def test_traces_and_verdicts_are_named_tuples():
+    trace = solve_by_lifting(-2, 3, 5, 3)
+    assert trace == (-2, 3, 5, trace.rows, "solvable", None, trace.digits)
+    assert repr(trace) == (
+        "LiftingTrace(a=-2, b=3, p=5, rows=(LiftingRow(n=1, x_n=1, order=4, "
+        "digit_count=0), LiftingRow(n=2, x_n=17, order=20, digit_count=1), "
+        "LiftingRow(n=3, x_n=57, order=100, digit_count=2)), "
+        "verdict='solvable', failing_level=None, digits=(2, 1))"
+    )
+    assert hash(trace) == hash(tuple(trace)) and trace.x == 57
+    failed = solve_by_lifting(4, 2, 5, 3)
+    assert failed == (4, 2, 5, (), "unsolvable", 1, ()) and failed.x is None
+    verdict = check_existence(2, 3, 5)
+    assert verdict == ("solvable", "depth(a) = 1 <= depth(b) = 1", None)
+    assert repr(verdict) == (
+        "ExistenceVerdict(verdict='solvable', reason='depth(a) = 1 <= depth(b) "
+        "= 1', failing_level=None)"
+    )
 
 
 # ---------------------------------------------------------------------------
