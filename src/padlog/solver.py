@@ -441,11 +441,15 @@ def solve_log_ratio(a, b, p, precision):
     la = padic_log(a, wide)  # refuses a outside the log's domain
     if da.is_infinite:
         raise AIsOne("a is exactly 1: its only power is 1")
+    lb = padic_log(_at(b, p, wide), wide)  # refuses b outside the domain
     if not da.is_exact:
+        # the decision procedure still decides when depth(a) >= N tops depth(b)
+        verdict = _split(a, b, p)[0]
+        if verdict.verdict == "unsolvable":
+            raise UnsolvableError(verdict.reason, failing_level=verdict.failing_level)
         raise InsufficientPrecision(
             "a is 1 to working precision; its depth is invisible"
         )
-    lb = padic_log(_at(b, p, wide), wide)
     vb = lb.valuation()
     if vb.is_infinite:
         # b is exactly 1: the exponent is exactly 0

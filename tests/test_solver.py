@@ -19,6 +19,7 @@ from padlog.errors import (
     BaseMismatch,
     InsufficientPrecision,
     NotAUnit,
+    NotPrincipalUnit,
     PadlogError,
     UnsolvableError,
     ZeroInput,
@@ -459,8 +460,29 @@ def test_log_ratio_a_one():
 
 def test_log_ratio_truncated_a_depth_invisible():
     a = PAdicInt(5, (1, 0, 0))  # could be 1, could be 1 + 125 u
-    with pytest.raises(InsufficientPrecision):
+    # depth(b) = 4 lies inside the depths a allows, so nothing decides
+    with pytest.raises(InsufficientPrecision, match="depth is invisible"):
+        solve_log_ratio(a, from_integer(1 + 2 * 5**4, 5, 3), 5, 3)
+
+
+def test_log_ratio_reads_the_depth_comparison_before_refusing_an_invisible_depth():
+    # depth(a) >= 8 already tops depth(b) = 1: every route says unsolvable
+    # at level 2, the log route included
+    a, b, p = PAdicInt.from_integer(1 + 5**9, 5, 8), 6, 5
+    want = ("depth(a) >= 8 > depth(b) = 1", 2)
+    assert tuple(check_existence(a, b, p))[1:] == want
+    for route in (solve_units, solve_log_ratio):
+        with pytest.raises(UnsolvableError) as info:
+            route(a, b, p, 3)
+        assert (str(info.value), info.value.failing_level) == want
+    # the old case: depth(a) >= 3 > depth(6) = 1 decides too
+    a = PAdicInt(5, (1, 0, 0))
+    with pytest.raises(UnsolvableError, match=r"^depth\(a\) >= 3 > depth\(b\) = 1$"):
         solve_log_ratio(a, from_integer(6, 5, 3), 5, 3)
+    # a b outside the log's domain is refused first, as with a visible depth
+    for a in (a, 26):
+        with pytest.raises(NotPrincipalUnit):
+            solve_log_ratio(a, 7, 5, 3)
 
 
 def test_log_ratio_result_precision():

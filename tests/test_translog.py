@@ -378,6 +378,105 @@ def test_cached_series_inverse_gives_the_uncached_log(p, monkeypatch):
             assert scale * (math.lcm(*range(1, T + 1)) // p**e) % p ** (K + k) == 1
 
 
+# ---------------------------------------------------------------------------
+# the table that deepens log arguments
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty table cache, restored afterwards."""
+    monkeypatch.setattr(translog, "_TABLES", {})
+    return translog._TABLES
+
+
+def _falling_then_rising(precisions):
+    return sorted(precisions, reverse=True) + sorted(precisions)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_table_log_matches_plain_series_at_every_small_depth(
+    p, fresh_tables, monkeypatch
+):
+    # the table at every small K (its domain widened to take them), every
+    # depth; precisions fall, then rise, so one table serves them all
+    monkeypatch.setattr(translog, "TABLE_DOMAIN", ((p,), range(1, 65)))
+    rng = random.Random(p + 77)
+    least = 2 if p == 2 else 1
+    cases = {
+        K: [_unit_at_depth(rng, p, c, K) for c in range(least, K + 2)]
+        for K in range(1, 25)
+    }
+    want = {K: [log_series(u, p, K) for u in units] for K, units in cases.items()}
+    for K in _falling_then_rising(cases):
+        got = [translog._log_mod(u, p, K) for u in cases[K]]
+        assert got == want[K], (p, K)
+    assert [L for L, _ in fresh_tables.values()] == [64]  # built once, at K = 24
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_table_log_matches_plain_series_at_large_precision(
+    p, fresh_tables, monkeypatch
+):
+    # the table's own domain (2 keeps the power path); a table built at
+    # K = 1000 serves K = 200, and every series it leaves starts at depth J
+    series_depths = []
+    real_series = translog._log_series
+
+    def series(u, p, K, c):
+        series_depths.append((K, c))
+        return real_series(u, p, K, c)
+
+    monkeypatch.setattr(translog, "_log_series", series)
+    rng = random.Random(p + 78)
+    least = 2 if p == 2 else 1
+    cases = {}
+    for K in (200, 1000):
+        depths = (least, least + 1, least + 3, K // 2, K - 1)
+        units = [_unit_at_depth(rng, p, c, K) for c in depths]
+        cases[K] = [(u, log_series(u, p, K)) for u in units]
+    for K in _falling_then_rising(cases):
+        for u, want in cases[K]:
+            assert translog._log_mod(u, p, K) == want, (p, K, _vp(u - 1, p))
+    primes, _ = translog.TABLE_DOMAIN
+    built = {q: L for q, (L, _) in fresh_tables.items()}
+    assert built == ({p: 1024} if p in primes else {})
+    if p in primes:
+        calls = [(K, c) for K, c in series_depths if K in cases]
+        assert len(calls) == 20
+        assert all(c >= translog._table_depth(p, K) for K, c in calls)
+
+
+def test_no_table_outgrows_its_bound(fresh_tables):
+    # five-digit and three-digit primes never build one, and no table
+    # holds more than the stated J <= 21 entries or 1024 digits
+    rng = random.Random(79)
+    for p, K in ((10007, 1000), (101, 1000), (10007, 13), (7, 1000), (7, 1024),
+                 (3, 5000)):
+        translog._log_mod(_unit_at_depth(rng, p, 1, K), p, K)
+    primes, digits = translog.TABLE_DOMAIN
+    assert set(fresh_tables) == {7} and len(fresh_tables) <= len(primes)
+    for L, logs in fresh_tables.values():
+        assert L <= digits[-1]
+        assert len(logs) <= translog._table_depth(7, digits[-1]) == 21
+
+
+def test_exp_builds_one_table_for_all_its_newton_steps(fresh_tables, monkeypatch):
+    # the steps at K = 128, 256 and 512 read the table built at 1000 digits
+    builds = []
+    real_series = translog._log_series
+
+    def series(u, p, K, c):
+        if u == p**K + 1 - p**c:  # a table entry, log(1 - p^c)
+            builds.append(K)
+        return real_series(u, p, K, c)
+
+    monkeypatch.setattr(translog, "_log_series", series)
+    x = from_integer(7 * 12345, 7, 1000)
+    y = padic_exp(x)
+    assert builds == [1024] * (translog._table_depth(7, 1024) - 1)
+    assert padic_log(y) == x
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 101))
 def test_exp_and_log_round_trip_at_a_thousand_digits(p):
     # padic_exp's certificate reruns the log kernel at the full precision
